@@ -13,8 +13,8 @@ when CI compares a run against the committed baseline.
 
 Entry points:
 
-* ``repro bench`` (see :mod:`repro.cli`) and ``tools/perf_bench.py``
-  both call :func:`main`.
+* ``repro bench`` (see :mod:`repro.cli`) installs
+  :func:`add_bench_arguments` and runs :func:`command_from_args`.
 * Tests drive :func:`run_benchmarks` / :func:`write_artifact` directly.
 """
 
@@ -994,11 +994,7 @@ def run_bench_command(
 
 
 def add_bench_arguments(parser: argparse.ArgumentParser) -> None:
-    """Install the ``bench`` options on ``parser``.
-
-    Shared by ``repro bench`` (:mod:`repro.cli`) and the standalone
-    ``tools/perf_bench.py`` script so the two surfaces cannot drift.
-    """
+    """Install the ``bench`` options on ``parser`` (``repro bench``)."""
     parser.add_argument(
         "--quick", action="store_true",
         help="reduced request counts and repeats (the CI smoke mode)",
@@ -1059,17 +1055,3 @@ def command_from_args(args: argparse.Namespace) -> int:
         compare_to=Path(args.compare_to) if args.compare_to else None,
         engine=args.engine,
     )
-
-
-def build_parser() -> argparse.ArgumentParser:
-    """Argument parser for the standalone ``tools/perf_bench.py`` script."""
-    parser = argparse.ArgumentParser(
-        prog="perf_bench", description=__doc__,
-    )
-    add_bench_arguments(parser)
-    return parser
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    """Entry point shared by ``repro bench`` and ``tools/perf_bench.py``."""
-    return command_from_args(build_parser().parse_args(argv))

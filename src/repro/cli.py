@@ -502,7 +502,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         if not args.distributed:
             outcome = run_serial_sweep(recipes, store)
         else:
-            from .distrib.chaos import spawn_worker
+            from .distrib.chaos import spawn_repro
             from .distrib.queue import FileWorkQueue
 
             queue_dir = Path(
@@ -512,10 +512,16 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             )
             queue = FileWorkQueue(queue_dir, lease_s=args.lease)
             for i in range(args.spawn_workers):
-                workers.append(spawn_worker(
-                    queue_dir, Path(args.results_dir), args.lease,
-                    stride or 0,
-                    log_path=queue_dir / f"worker-{i}.log",
+                workers.append(spawn_repro(
+                    [
+                        "worker",
+                        "--queue-dir", str(queue_dir),
+                        "--results-dir", str(args.results_dir),
+                        "--lease", str(args.lease),
+                        "--checkpoint-stride", str(stride or 0),
+                        "--idle-exit", "15",
+                    ],
+                    queue_dir / f"worker-{i}.log",
                 ))
             try:
                 outcome = run_distributed_sweep(
@@ -1003,8 +1009,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep_cmd.add_argument(
         "--serial-grace", type=float, default=5.0,
-        help="seconds with no worker activity before the coordinator "
-             "degrades to executing tasks in-process",
+        help="seconds with no live lease or completion before the "
+             "coordinator degrades to executing tasks in-process",
     )
     sweep_cmd.add_argument(
         "--speculate-after", type=float, default=None, metavar="S",
@@ -1125,8 +1131,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_cmd.add_argument(
         "--serial-grace", type=float, default=2.0,
-        help="seconds with no worker progress before the daemon "
-             "executes requests in-process (sticky degraded mode)",
+        help="seconds with no live lease or completion before the "
+             "daemon executes requests in-process (sticky degraded mode)",
     )
     serve_cmd.add_argument(
         "--checkpoint-stride", type=int, default=50_000,

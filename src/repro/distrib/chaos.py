@@ -42,7 +42,7 @@ from .coordinator import (
     run_distributed_sweep,
     run_serial_sweep,
 )
-from .queue import FileWorkQueue, _read_json
+from .queue import FileWorkQueue
 
 #: External fault names (injected by the harness, not the worker).
 EXTERNAL_FAULTS = {
@@ -62,63 +62,38 @@ def _repo_pythonpath() -> str:
     return f"{src}{os.pathsep}{existing}" if existing else src
 
 
-def worker_command(
-    queue_dir: Path,
-    results_dir: Path,
-    lease_s: float,
-    checkpoint_stride: int,
-    fault: Optional[str] = None,
-    idle_exit_s: float = 15.0,
-) -> List[str]:
-    """The ``repro worker`` argv for one subprocess worker."""
-    cmd = [
-        sys.executable, "-m", "repro.cli", "worker",
-        "--queue-dir", str(queue_dir),
-        "--results-dir", str(results_dir),
-        "--lease", str(lease_s),
-        "--checkpoint-stride", str(checkpoint_stride),
-        "--idle-exit", str(idle_exit_s),
-    ]
-    if fault is not None:
-        cmd += ["--fault", fault]
-    return cmd
+def spawn_repro(args: Sequence[str], log_path: Path) -> subprocess.Popen:
+    """Start ``python -m repro.cli <args>`` as a subprocess.
 
-
-def spawn_worker(
-    queue_dir: Path,
-    results_dir: Path,
-    lease_s: float,
-    checkpoint_stride: int,
-    fault: Optional[str] = None,
-    idle_exit_s: float = 15.0,
-    log_path: Optional[Path] = None,
-) -> subprocess.Popen:
-    """Start one real ``repro worker`` subprocess (logs to a file)."""
+    The one launcher behind both chaos harnesses and ``repro sweep
+    --spawn-workers``: the child resolves this checkout's :mod:`repro`
+    and writes stdout and stderr to ``log_path``.
+    """
     env = dict(os.environ)
     env["PYTHONPATH"] = _repo_pythonpath()
-    log = open(log_path, "w") if log_path is not None else subprocess.DEVNULL
-    return subprocess.Popen(
-        worker_command(
-            queue_dir, results_dir, lease_s, checkpoint_stride,
-            fault=fault, idle_exit_s=idle_exit_s,
-        ),
-        stdout=log, stderr=subprocess.STDOUT, env=env,
-    )
+    with open(log_path, "w") as log:
+        return subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", *args],
+            stdout=log, stderr=subprocess.STDOUT, env=env,
+        )
 
 
 def wait_for_claim(
-    queue: FileWorkQueue, timeout_s: float = 30.0, poll_s: float = 0.02
+    queue: FileWorkQueue,
+    task_ids: Sequence[str],
+    timeout_s: float = 30.0,
+    poll_s: float = 0.02,
 ) -> Tuple[str, str]:
-    """Block until any task is claimed; returns ``(task_id, owner)``.
+    """Block until one of ``task_ids`` is leased; ``(task_id, owner)``.
 
     Raises ``TimeoutError`` if no worker ever claims — the harness's
     way of failing loudly when the fleet never started.
     """
     deadline = time.monotonic() + timeout_s
     while time.monotonic() < deadline:
-        for task_id in queue._ids("claimed"):
-            lease = _read_json(queue._path("claimed", task_id))
-            if lease is not None and "owner" in lease:
+        for task_id in task_ids:
+            lease = queue.lease(task_id)
+            if lease is not None:
                 return task_id, str(lease["owner"])
         time.sleep(poll_s)
     raise TimeoutError(
@@ -148,7 +123,7 @@ def sigkill_owner(owner: str) -> bool:
 
 def corrupt_claim(queue: FileWorkQueue, task_id: str) -> bool:
     """Overwrite a claim file with garbage (a torn/flipped-bit write)."""
-    path = queue._path("claimed", task_id)
+    path = queue.root / "claimed" / f"{task_id}.json"
     if not path.is_file():
         return False
     path.write_text("{torn json \x00\x01")
@@ -260,17 +235,23 @@ def run_chaos_case(
     workers: List[subprocess.Popen] = []
 
     def _spawn(index: int, worker_fault_name: Optional[str]) -> None:
-        workers.append(spawn_worker(
-            dist_dir / "queue", dist_dir, lease_s, checkpoint_stride,
-            fault=worker_fault_name,
-            log_path=dist_dir / f"worker-{index}.log",
-        ))
+        args = [
+            "worker",
+            "--queue-dir", str(dist_dir / "queue"),
+            "--results-dir", str(dist_dir),
+            "--lease", str(lease_s),
+            "--checkpoint-stride", str(checkpoint_stride),
+            "--idle-exit", "15",
+        ]
+        if worker_fault_name is not None:
+            args += ["--fault", worker_fault_name]
+        workers.append(spawn_repro(args, dist_dir / f"worker-{index}.log"))
 
     try:
         _spawn(0, worker_fault)   # the saboteur (clean if fault is None)
         fault_fired = True
         if fault is not None:
-            task_id, owner = wait_for_claim(queue)
+            task_id, owner = wait_for_claim(queue, keys)
             if fault == "sigkill-claim-holder":
                 fault_fired = sigkill_owner(owner)
                 notes.append(

@@ -6,7 +6,9 @@ restart at any point — resubmitting the same sweep finds every task
 (and every finished result blob) exactly where it left off, because
 task ids are content keys.
 
-Supervision is a polling loop over queue state:
+:func:`supervise` is the one polling loop over queue state; the sweep
+and the serve daemon (:mod:`repro.serve.engine`, one key per request)
+both run it:
 
 * **Reclaim** — expired or corrupt leases go back to ``pending`` with
   backoff (``FileWorkQueue.reclaim_expired``).
@@ -14,19 +16,21 @@ Supervision is a polling loop over queue state:
   peers (``speculate_after_s``) is re-dispatched while the original
   keeps running; whichever execution finishes first wins, the loser's
   byte-identical result deduplicates.
-* **Degraded serial mode** — when no worker ever shows any sign of
-  life within ``serial_grace_s``, the coordinator stops waiting and
-  executes the tasks itself, in-process, through the *same*
-  claim → execute → complete path.  Degraded mode is sticky: once
-  entered, the coordinator keeps draining every poll (its own
-  completions make the queue look alive, so worker-liveness signals
-  are no longer consulted), and a task that fails into retry backoff
-  is retried by the coordinator itself until it succeeds or poisons.
-  A sweep therefore always completes; distribution is an
-  optimization, not a dependency.
+* **Degraded serial mode** — the supervised tasks are alive while one
+  of them holds a live lease (deadline in the future) or a completion
+  landed since the last poll.  With neither for ``serial_grace_s`` the
+  supervisor stops waiting and executes the tasks itself, in-process,
+  through the *same* claim → execute → complete path workers take
+  (:func:`execute_next`).  Degraded mode is sticky: its own claims and
+  completions would look like life, and no worker may exist to retry
+  a task that failed into backoff, so it keeps executing until every
+  task succeeds or poisons.  A sweep therefore always completes;
+  distribution is an optimization, not a dependency.
 * **Poison** — a task that keeps failing is quarantined by the queue;
-  the coordinator surfaces it as :class:`DistributedSweepError` with
+  the supervisor surfaces it as :class:`DistributedSweepError` with
   the stored tracebacks rather than spinning forever.
+* **Lost blobs** — a done task whose result blob went missing is
+  recomputed in-process (:func:`put_result`).
 
 Results are collected in submission order, read back from the store by
 the content keys the ``done`` records carry.
@@ -34,16 +38,19 @@ the content keys the ``done`` records carry.
 
 from __future__ import annotations
 
+import threading
 import time
-from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence
+import traceback
+from dataclasses import dataclass
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..results.store import ResultStore, with_lock_retry
+from ..results.store import ResultStore, content_key, with_lock_retry
 from ..sim.stats import SimResult
-from .queue import FileWorkQueue, Task
+from .queue import FileWorkQueue
 from .worker import (
     DEFAULT_CHECKPOINT_STRIDE,
     TASK_KIND,
+    build_simulator,
     execute_claimed_task,
     result_alias,
     sweep_task_recipe,
@@ -117,6 +124,27 @@ class SweepOutcome:
         return lines
 
 
+def put_result(
+    store: ResultStore,
+    recipe: Dict[str, Any],
+    owner: str,
+    payload: Optional[Dict[str, Any]] = None,
+) -> Tuple[str, Dict[str, Any]]:
+    """Put a task's result blob, simulating it first when ``payload`` is None.
+
+    Returns ``(result key, payload)``.  The serial reference sweep and
+    the recompute of a done task whose blob went missing both land
+    here, so both write exactly the bytes a worker would.
+    """
+    if payload is None:
+        payload = build_simulator(recipe).run().to_json()
+    key, _path, _created = with_lock_retry(lambda: store.put(
+        recipe, payload, name=result_alias(content_key(recipe)),
+        kind=TASK_KIND, meta={"owner": owner},
+    ))
+    return key, payload
+
+
 def run_serial_sweep(
     recipes: Sequence[Dict[str, Any]],
     store: ResultStore,
@@ -127,78 +155,171 @@ def run_serial_sweep(
     same store addressing, no queue at all.  Blobs written here must
     be byte-identical to what any distributed execution produces.
     """
-    from .worker import build_simulator
-
     started = time.monotonic()
-    task_ids: List[str] = []
     result_keys: List[str] = []
     results: List[SimResult] = []
     for recipe in recipes:
-        from ..results.store import content_key
-
-        task_id = content_key(recipe)
-        payload = store.fetch(recipe)
-        if payload is None:
-            result = build_simulator(recipe).run()
-            payload = result.to_json()
-        else:
-            result = SimResult.from_json(payload)
-        key, _path, _created = with_lock_retry(lambda: store.put(
-            recipe, payload, name=result_alias(task_id), kind=TASK_KIND,
-            meta={"owner": "serial"},
-        ))
-        task_ids.append(task_id)
+        key, payload = put_result(store, recipe, "serial",
+                                  store.fetch(recipe))
         result_keys.append(key)
-        results.append(result)
+        results.append(SimResult.from_json(payload))
     return SweepOutcome(
-        task_ids=task_ids,
+        task_ids=[content_key(recipe) for recipe in recipes],
         result_keys=result_keys,
         results=results,
-        degraded=False,
         duration_s=time.monotonic() - started,
         mode="serial",
     )
 
 
-def _collect(
+def execute_next(
     queue: FileWorkQueue,
     store: ResultStore,
-    tasks: Sequence[Task],
-) -> tuple:
-    """Read every done task's result back (keys + parsed results)."""
-    result_keys: List[str] = []
-    results: List[SimResult] = []
-    for task in tasks:
-        record = queue.done_record(task.task_id)
-        if record is None:
+    owner: str,
+    want: Optional[set] = None,
+    checkpoint_stride: Optional[int] = DEFAULT_CHECKPOINT_STRIDE,
+    stop_event: Optional[threading.Event] = None,
+) -> Optional[str]:
+    """Claim one eligible task for ``owner`` and execute it.
+
+    Returns None when nothing was claimable, else what happened:
+    ``"executed"``, ``"deduplicated"`` (an identical blob already
+    existed), ``"released"`` (a graceful stop handed the claim back)
+    or ``"failed"`` (the traceback went to :meth:`FileWorkQueue.fail`).
+    Workers and degraded supervision both execute through here.
+    """
+    claimed = queue.claim(owner, want=want)
+    if claimed is None:
+        return None
+    try:
+        execution = execute_claimed_task(
+            queue, store, claimed,
+            checkpoint_stride=checkpoint_stride, stop_event=stop_event,
+        )
+    except Exception:
+        queue.fail(claimed.task_id, owner, traceback.format_exc())
+        return "failed"
+    if execution is None:
+        return "released"
+    return "executed" if execution.first_writer else "deduplicated"
+
+
+@dataclass
+class Supervision:
+    """What :func:`supervise` saw: every task's result, and how."""
+
+    result_keys: Dict[str, str]            # task id -> result key
+    payloads: Dict[str, Dict[str, Any]]    # task id -> result payload
+    degraded: bool
+    reclaimed: int = 0
+    speculated: int = 0
+
+
+def supervise(
+    queue: FileWorkQueue,
+    store: ResultStore,
+    task_ids: Sequence[str],
+    owner: str,
+    degraded: bool = False,
+    poll_s: float = 0.05,
+    serial_grace_s: float = 5.0,
+    speculate_after_s: Optional[float] = None,
+    timeout_s: Optional[float] = None,
+    checkpoint_stride: Optional[int] = DEFAULT_CHECKPOINT_STRIDE,
+) -> Supervision:
+    """Poll submitted tasks until each is done; return their results.
+
+    Each poll reads only these tasks' queue files, reclaims expired
+    leases and, with ``speculate_after_s``, re-dispatches stragglers.
+    A task set is *alive* while one of its tasks holds a live lease or
+    a completion landed since the last poll; with neither for
+    ``serial_grace_s`` — or when called with ``degraded`` — supervision
+    turns degraded for good and executes the tasks itself as ``owner``,
+    one claim per poll.  A done task whose blob went missing is
+    recomputed.  Raises :class:`DistributedSweepError` on a poisoned
+    task or after ``timeout_s``.
+    """
+    started = last_alive = time.monotonic()
+    open_ids = list(dict.fromkeys(task_ids))
+    records: Dict[str, Dict[str, Any]] = {}
+    reclaimed = speculated = 0
+    while True:
+        done_before = len(records)
+        for task_id in open_ids:
+            if (record := queue.done_record(task_id)) is not None:
+                records[task_id] = record
+        open_ids = [task_id for task_id in open_ids if task_id not in records]
+        poisoned = [
+            record for task_id in open_ids
+            if (record := queue.poison_record(task_id)) is not None
+        ]
+        if poisoned:
             raise DistributedSweepError(
-                f"task {task.task_id} has no done record at collection"
+                f"{len(poisoned)} task(s) poisoned after repeated "
+                "failures",
+                poison=poisoned,
             )
-        key = record.get("result_key", task.task_id)
+        if not open_ids:
+            break
+        now = time.monotonic()
+        if timeout_s is not None and now - started > timeout_s:
+            raise DistributedSweepError(
+                f"sweep timed out after {timeout_s:.1f}s "
+                f"({len(records)}/{len(records) + len(open_ids)} done; "
+                + "; ".join(queue.status().summary_lines()) + ")"
+            )
+        reclaimed += len(set(queue.reclaim_expired()) & set(open_ids))
+        wall = time.time()
+        leases = {
+            task_id: lease for task_id in open_ids
+            if (lease := queue.lease(task_id)) is not None
+        }
+        if len(records) > done_before or any(
+            lease["deadline"] > wall for lease in leases.values()
+        ):
+            last_alive = now
+        if speculate_after_s is not None:
+            for task_id, lease in leases.items():
+                claimed_at = lease.get("claimed_at", wall)
+                if (wall - claimed_at > speculate_after_s
+                        and queue.speculate(task_id)):
+                    speculated += 1
+        if degraded or now - last_alive > serial_grace_s:
+            # Sticky: our own claims and completions look like life,
+            # but no worker may exist to retry a task that failed into
+            # backoff, so keep executing until every task is terminal.
+            degraded = True
+            if execute_next(queue, store, owner, want=set(open_ids),
+                            checkpoint_stride=checkpoint_stride):
+                continue  # progress made: re-check done/poison now
+            # Nothing claimable (every open task is in retry backoff or
+            # held by a live lease): sleep instead of busy-spinning.
+        time.sleep(poll_s)
+
+    result_keys: Dict[str, str] = {}
+    payloads: Dict[str, Dict[str, Any]] = {}
+    for task_id, record in records.items():
+        key = record.get("result_key", task_id)
         payload = store.get(key)
         if payload is None:
             # The done record survived but the blob did not (operator
-            # deleted the store?).  Recompute serially — correctness
-            # over cleverness.
-            result = _recompute(task, store)
-        else:
-            result = SimResult.from_json(payload)
-        result_keys.append(key)
-        results.append(result)
-    return result_keys, results
-
-
-def _recompute(task: Task, store: ResultStore) -> SimResult:
-    """Serial fallback for a done task whose blob went missing."""
-    from .worker import build_simulator
-
-    result = build_simulator(task.recipe).run()
-    with_lock_retry(lambda: store.put(
-        task.recipe, result.to_json(),
-        name=result_alias(task.task_id), kind=TASK_KIND,
-        meta={"owner": "collector-recompute"},
-    ))
-    return result
+            # deleted the store?): recompute — correctness over
+            # cleverness.
+            task = queue.task(task_id)
+            if task is None:
+                raise DistributedSweepError(
+                    f"task {task_id} lost its result blob and its body"
+                )
+            key, payload = put_result(store, task.recipe, owner)
+        result_keys[task_id] = key
+        payloads[task_id] = payload
+    return Supervision(
+        result_keys=result_keys,
+        payloads=payloads,
+        degraded=degraded,
+        reclaimed=reclaimed,
+        speculated=speculated,
+    )
 
 
 def run_distributed_sweep(
@@ -211,131 +332,32 @@ def run_distributed_sweep(
     timeout_s: Optional[float] = None,
     checkpoint_stride: Optional[int] = DEFAULT_CHECKPOINT_STRIDE,
 ) -> SweepOutcome:
-    """Submit task recipes and supervise until every one is terminal.
+    """Submit task recipes and :func:`supervise` them to completion.
 
     Workers are *external*: anything running ``repro worker`` against
-    the same queue/store directories.  The coordinator only submits,
-    reclaims, speculates, and — when ``serial_grace_s`` elapses with
-    no sign of any worker — degrades to executing the remaining tasks
-    itself through the identical claim path.  Raises
+    the same queue/store directories.  Raises
     :class:`DistributedSweepError` on poisoned tasks or ``timeout_s``.
     """
     started = time.monotonic()
-    tasks = [queue.submit(recipe) for recipe in recipes]
-    wanted = {task.task_id for task in tasks}
-    reclaimed_total = 0
-    speculated_total = 0
-    degraded = False
-    worker_seen = False
-
-    def _progress() -> tuple:
-        """(done, poisoned, claimed-by-others) among *our* tasks."""
-        done = sum(
-            1 for task in tasks
-            if queue.done_record(task.task_id) is not None
-        )
-        poisoned = [
-            record for task in tasks
-            if (record := queue.poison_record(task.task_id)) is not None
-        ]
-        return done, poisoned
-
-    baseline_done, _ = _progress()
-    while True:
-        done, poisoned = _progress()
-        if poisoned:
-            raise DistributedSweepError(
-                f"{len(poisoned)} task(s) poisoned after repeated "
-                "failures",
-                poison=poisoned,
-            )
-        if done == len(tasks):
-            break
-        if timeout_s is not None and (
-            time.monotonic() - started > timeout_s
-        ):
-            status = queue.status()
-            raise DistributedSweepError(
-                f"sweep timed out after {timeout_s:.1f}s "
-                f"({done}/{len(tasks)} done; " +
-                "; ".join(status.summary_lines()) + ")"
-            )
-        reclaimed_total += len([
-            task_id for task_id in queue.reclaim_expired()
-            if task_id in wanted
-        ])
-        status = queue.status()
-        if status.claimed or done > baseline_done:
-            worker_seen = True
-        if speculate_after_s is not None:
-            now = time.time()
-            for lease in status.leases:
-                if lease["task_id"] not in wanted:
-                    continue
-                if now - lease.get("claimed_at", now) > speculate_after_s:
-                    if queue.speculate(lease["task_id"]):
-                        speculated_total += 1
-        if degraded or (
-            not worker_seen
-            and time.monotonic() - started > serial_grace_s
-        ):
-            # Once degraded, *stay* degraded: our own completions make
-            # the queue look alive (done counts rise, claims appear),
-            # but no worker exists to pick up a task that failed into
-            # retry backoff — the coordinator must keep draining until
-            # every task is done or poisoned.
-            degraded = True
-            executed = _drain_in_process(
-                queue, store, wanted, checkpoint_stride
-            )
-            if executed:
-                continue  # progress made: re-check done/poison now
-            # Nothing claimable (every open task is in retry backoff):
-            # fall through to the poll sleep instead of busy-spinning.
-        time.sleep(poll_s)
-
-    result_keys, results = _collect(queue, store, tasks)
-    return SweepOutcome(
-        task_ids=[task.task_id for task in tasks],
-        result_keys=result_keys,
-        results=results,
-        degraded=degraded,
-        reclaimed=reclaimed_total,
-        speculated=speculated_total,
-        duration_s=time.monotonic() - started,
-        mode="degraded serial" if degraded else "distributed",
+    task_ids = [queue.submit(recipe).task_id for recipe in recipes]
+    seen = supervise(
+        queue, store, task_ids, "coordinator-serial",
+        poll_s=poll_s,
+        serial_grace_s=serial_grace_s,
+        speculate_after_s=speculate_after_s,
+        timeout_s=timeout_s,
+        checkpoint_stride=checkpoint_stride,
     )
-
-
-def _drain_in_process(
-    queue: FileWorkQueue,
-    store: ResultStore,
-    wanted: set,
-    checkpoint_stride: Optional[int],
-) -> int:
-    """Degraded mode: the coordinator executes claimable tasks itself.
-
-    Same claim → execute → complete path a worker takes, so a worker
-    that appears mid-drain cooperates instead of conflicting — the
-    queue's rename semantics and the store's dedup don't care who the
-    executor is.  Returns how many claims were processed (success or
-    failure); zero means every open task is waiting out a retry
-    backoff, so the caller should sleep rather than spin.
-    """
-    owner = "coordinator-serial"
-    executed = 0
-    while True:
-        queue.reclaim_expired()
-        claimed = queue.claim(owner, want=wanted)
-        if claimed is None:
-            return executed
-        executed += 1
-        try:
-            execute_claimed_task(
-                queue, store, claimed,
-                checkpoint_stride=checkpoint_stride,
-            )
-        except Exception:
-            import traceback
-
-            queue.fail(claimed.task_id, owner, traceback.format_exc())
+    return SweepOutcome(
+        task_ids=task_ids,
+        result_keys=[seen.result_keys[task_id] for task_id in task_ids],
+        results=[
+            SimResult.from_json(seen.payloads[task_id])
+            for task_id in task_ids
+        ],
+        degraded=seen.degraded,
+        reclaimed=seen.reclaimed,
+        speculated=seen.speculated,
+        duration_s=time.monotonic() - started,
+        mode="degraded serial" if seen.degraded else "distributed",
+    )

@@ -272,13 +272,13 @@ class FileWorkQueue:
         with its lease.  Until that rewrite lands the claim file still
         holds the pending-state JSON (no ``owner``/``deadline``);
         :meth:`reclaim_expired` treats that like a torn write and
-        leaves it alone inside the corrupt-grace window, so a claim is
-        never reclaimed out from under its winner mid-handshake — and
-        a claimant that truly dies in the window is recovered once the
-        grace expires.  Tasks still inside their retry backoff are
-        skipped,
-        as is anything outside ``want`` (a coordinator draining only
-        its own sweep on a shared queue).
+        leaves it alone inside the corrupt-grace window (counted from
+        the mtime the winner refreshes just before its rename), so a
+        claim is never reclaimed out from under its winner
+        mid-handshake — and a claimant that truly dies in the window is
+        recovered once the grace expires.  Tasks still inside their
+        retry backoff are skipped, as is anything outside ``want`` (a
+        coordinator draining only its own sweep on a shared queue).
         """
         if now is None:
             now = time.time()
@@ -300,6 +300,10 @@ class FileWorkQueue:
                 continue
             claimed_path = self._path("claimed", task_id)
             try:
+                # The rename keeps the file's mtime: refresh it first, or
+                # a concurrent reclaim judges this live handshake by the
+                # submit time and requeues it as a dead one.
+                os.utime(pending_path)
                 os.rename(pending_path, claimed_path)
             except OSError:
                 continue  # somebody else won the rename
@@ -599,6 +603,19 @@ class FileWorkQueue:
     def done_record(self, task_id: str) -> Optional[Dict[str, Any]]:
         """The ``done`` record for a task (None if not finished)."""
         return _read_json(self._path("done", task_id))
+
+    def lease(self, task_id: str) -> Optional[Dict[str, Any]]:
+        """A claimed task's lease (None when unclaimed or mid-handshake).
+
+        The lease carries ``owner``, ``attempts``, ``claimed_at``,
+        ``deadline`` and ``heartbeats``.  A claim file without an owner
+        and a deadline (a torn write, or a claim whose winner has not
+        written its lease yet) reads as None.
+        """
+        lease = _read_json(self._path("claimed", task_id))
+        if lease is None or "owner" not in lease or "deadline" not in lease:
+            return None
+        return lease
 
     def poison_record(self, task_id: str) -> Optional[Dict[str, Any]]:
         """The poison record for a task (None if not quarantined)."""

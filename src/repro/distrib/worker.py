@@ -39,7 +39,6 @@ import pickle
 import signal
 import threading
 import time
-import traceback
 from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
@@ -379,6 +378,8 @@ def run_worker(
         owner = worker_identity()
     if fault is not None:
         faults.inject(fault)
+    from .coordinator import execute_next  # coordinator imports us
+
     summary = WorkerSummary(owner=owner)
     last_work = time.monotonic()
     while True:
@@ -387,8 +388,11 @@ def run_worker(
             break
         if max_tasks is not None and summary.executed >= max_tasks:
             break
-        claimed = queue.claim(owner)
-        if claimed is None:
+        outcome = execute_next(
+            queue, store, owner,
+            checkpoint_stride=checkpoint_stride, stop_event=stop_event,
+        )
+        if outcome is None:
             queue.reclaim_expired()
             status = queue.status()
             if status.total_tasks and not status.open_tasks:
@@ -398,24 +402,15 @@ def run_worker(
             time.sleep(poll_s)
             continue
         last_work = time.monotonic()
-        try:
-            execution = execute_claimed_task(
-                queue, store, claimed,
-                checkpoint_stride=checkpoint_stride,
-                stop_event=stop_event,
-            )
-        except Exception:
+        if outcome == "failed":
             summary.failed += 1
-            queue.fail(
-                claimed.task_id, owner, traceback.format_exc()
-            )
-            continue
-        if execution is None:
+        elif outcome == "released":
             # Graceful stop mid-task: claim already released.
             summary.released += 1
             summary.stopped = True
             break
-        summary.executed += 1
-        if not execution.first_writer:
-            summary.deduplicated += 1
+        else:
+            summary.executed += 1
+            if outcome == "deduplicated":
+                summary.deduplicated += 1
     return summary

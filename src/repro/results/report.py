@@ -1,8 +1,7 @@
 """Compare scenario artifacts across two result stores.
 
-``repro scenario report A B`` (and the ``tools/scenario_report.py``
-wrapper CI uses) diffs the latest run of every scenario name present in
-both stores, metric by metric — the same comparison story
+``repro scenario report A B`` diffs the latest run of every scenario
+name present in both stores, metric by metric — the same comparison story
 ``tools/bench_compare.py --trajectory`` gives perf artifacts, applied
 to security/performance metrics.  Each side may be a results directory
 (the store lives at ``<dir>/store``) or a store root itself.
@@ -15,7 +14,6 @@ the store, so the report never chokes on ``Infinity`` artifacts.
 
 from __future__ import annotations
 
-import argparse
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -165,18 +163,3 @@ def run_report(dir_a: Path, dir_b: Path) -> int:
                         str(store_a.root), str(store_b.root),
                         mismatched=mismatched))
     return 0
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    """Entry point shared by ``repro scenario report`` and tools/."""
-    parser = argparse.ArgumentParser(
-        description="diff scenario metrics across two result stores"
-    )
-    parser.add_argument(
-        "dir_a", help="results dir (or store root) of side A"
-    )
-    parser.add_argument(
-        "dir_b", help="results dir (or store root) of side B"
-    )
-    args = parser.parse_args(argv)
-    return run_report(Path(args.dir_a), Path(args.dir_b))

@@ -25,16 +25,13 @@ no permanent residue.
 from __future__ import annotations
 
 import http.client
-import os
 import signal
-import subprocess
-import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence
 
-from ..distrib.chaos import _repo_pythonpath, compare_blobs
+from ..distrib.chaos import compare_blobs, spawn_repro
 from ..distrib.coordinator import run_serial_sweep
 from ..results.store import ResultStore, content_key, store_for
 from .client import ServeClient
@@ -48,51 +45,6 @@ SERVE_EXTERNAL_FAULTS = {
         "SIGKILL the daemon after every request is journaled and "
         "202-accepted, before the work completes",
 }
-
-
-def serve_command(
-    results_dir: Path,
-    port: int = 0,
-    lease_s: float = 1.5,
-    serial_grace_s: float = 0.5,
-    checkpoint_stride: int = 20_000,
-    fault: Optional[str] = None,
-) -> List[str]:
-    """The ``repro serve`` argv for one daemon subprocess."""
-    cmd = [
-        sys.executable, "-m", "repro.cli", "serve",
-        "--results-dir", str(results_dir),
-        "--port", str(port),
-        "--lease", str(lease_s),
-        "--serial-grace", str(serial_grace_s),
-        "--checkpoint-stride", str(checkpoint_stride),
-    ]
-    if fault is not None:
-        cmd += ["--fault", fault]
-    return cmd
-
-
-def spawn_daemon(
-    results_dir: Path,
-    port: int = 0,
-    lease_s: float = 1.5,
-    serial_grace_s: float = 0.5,
-    checkpoint_stride: int = 20_000,
-    fault: Optional[str] = None,
-    log_path: Optional[Path] = None,
-) -> subprocess.Popen:
-    """Start one real ``repro serve`` subprocess (logs to a file)."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = _repo_pythonpath()
-    log = open(log_path, "w") if log_path is not None else subprocess.DEVNULL
-    return subprocess.Popen(
-        serve_command(
-            results_dir, port=port, lease_s=lease_s,
-            serial_grace_s=serial_grace_s,
-            checkpoint_stride=checkpoint_stride, fault=fault,
-        ),
-        stdout=log, stderr=subprocess.STDOUT, env=env,
-    )
 
 
 def wait_for_endpoint(
@@ -215,12 +167,16 @@ def run_serve_chaos_case(
     notes: List[str] = []
     internal = fault not in SERVE_EXTERNAL_FAULTS
 
-    first = spawn_daemon(
-        daemon_dir,
-        serial_grace_s=serial_grace_s,
-        checkpoint_stride=checkpoint_stride,
-        fault=fault if internal else None,
-        log_path=daemon_dir / "daemon-1.log",
+    args = [
+        "serve",
+        "--results-dir", str(daemon_dir),
+        "--lease", "1.5",
+        "--serial-grace", str(serial_grace_s),
+        "--checkpoint-stride", str(checkpoint_stride),
+    ]
+    first = spawn_repro(
+        args + (["--fault", fault] if internal else []),
+        daemon_dir / "daemon-1.log",
     )
     fault_fired = False
     first_exit: Optional[int] = None
@@ -269,12 +225,7 @@ def run_serve_chaos_case(
     )
 
     # -- restart clean, let replay + fresh submissions finish ----------
-    second = spawn_daemon(
-        daemon_dir,
-        serial_grace_s=serial_grace_s,
-        checkpoint_stride=checkpoint_stride,
-        log_path=daemon_dir / "daemon-2.log",
-    )
+    second = spawn_repro(args, daemon_dir / "daemon-2.log")
     drain_exit: Optional[int] = None
     try:
         endpoint = wait_for_endpoint(daemon_dir, second.pid, timeout_s)

@@ -20,12 +20,13 @@ what makes the robustness claims testable in-process:
   any watermark sheds the request with an explicit retry-after instead
   of growing threads without bound.
 * **Execution** — a miss submits the task to the shared
-  :class:`~repro.distrib.queue.FileWorkQueue` and awaits the done
-  record, exactly like the sweep coordinator.  When no external worker
-  shows signs of life within ``serial_grace_s`` the engine turns
-  *sticky-degraded* (the coordinator's discipline) and executes claims
-  in-process through the same claim → execute → complete path, so a
-  request always completes; workers are an optimization.
+  :class:`~repro.distrib.queue.FileWorkQueue` and runs the sweep
+  coordinator's own :func:`~repro.distrib.coordinator.supervise` loop
+  on its one key.  When the task holds no live lease and has not
+  completed for ``serial_grace_s`` the engine turns *sticky-degraded*
+  and executes claims in-process through the same
+  claim → execute → complete path, so a request always completes;
+  workers are an optimization.
 
 Deadlines are a property of the *wait*, not the work: a handler whose
 client deadline expires gets the content key back (202-style) while
@@ -40,18 +41,14 @@ import threading
 import time
 import traceback
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
-from ..distrib.queue import FileWorkQueue, _read_json, worker_identity
-from ..distrib.worker import (
-    DEFAULT_CHECKPOINT_STRIDE,
-    TASK_KIND,
-    build_simulator,
-    execute_claimed_task,
-    result_alias,
-)
-from ..results.store import ResultStore, content_key, with_lock_retry
+from ..distrib.coordinator import supervise
+from ..distrib.queue import FileWorkQueue, worker_identity
+from ..distrib.worker import DEFAULT_CHECKPOINT_STRIDE
+# Unused here; the benchmark tracer patches this name by attribute.
+from ..distrib.worker import execute_claimed_task  # noqa: F401
+from ..results.store import ResultStore, content_key
 from ..security import faults
 from .journal import RequestJournal
 
@@ -399,83 +396,19 @@ class RequestEngine:
     def _execute(self, entry: InFlight) -> Dict[str, Any]:
         """Submit to the queue and supervise until the result lands.
 
-        The sweep coordinator's discipline, scoped to one task: poll
-        the done record, reclaim expired leases, and — when the task
-        shows no progress for ``serial_grace_s`` — turn sticky-degraded
-        and execute claims in-process through the identical
-        claim → execute → complete path.
+        The sweep coordinator's :func:`supervise`, scoped to this one
+        key and sharing the engine-wide sticky ``degraded`` flag: once
+        one request found no live worker, later ones execute
+        in-process without waiting out the grace period again.
         """
-        queue = self.queue
-        queue.submit(entry.recipe)
-        last_progress = time.monotonic()
-        last_signature = self._progress_signature(entry.key)
-        while True:
-            record = queue.done_record(entry.key)
-            if record is not None:
-                key = record.get("result_key", entry.key)
-                payload = self.store.get(key)
-                if payload is None:
-                    # Done record without a blob (operator deleted the
-                    # store?): recompute in-process, same discipline as
-                    # the coordinator's collector.
-                    payload = self._recompute(entry)
-                return payload
-            poison = queue.poison_record(entry.key)
-            if poison is not None:
-                raise RequestFailed(
-                    f"task {entry.key} poisoned after "
-                    f"{poison.get('attempts', '?')} attempt(s):\n"
-                    f"{poison.get('error', '?')}"
-                )
-            queue.reclaim_expired()
-            signature = self._progress_signature(entry.key)
-            if signature != last_signature:
-                last_signature = signature
-                last_progress = time.monotonic()
-            if self.degraded or (
-                time.monotonic() - last_progress > self.serial_grace_s
-            ):
-                # Sticky, engine-wide: once no worker showed progress
-                # for one request, stop waiting for any of them.
-                self.degraded = True
-                claimed = queue.claim(self.owner, want={entry.key})
-                if claimed is not None:
-                    try:
-                        with_lock_retry(lambda: execute_claimed_task(
-                            queue, self.store, claimed,
-                            checkpoint_stride=self.checkpoint_stride,
-                        ))
-                    except Exception:
-                        queue.fail(
-                            entry.key, self.owner,
-                            traceback.format_exc(),
-                        )
-                    continue
-            time.sleep(self.poll_s)
-
-    def _progress_signature(self, key: str) -> Optional[Tuple]:
-        """What this task's claim looks like right now.
-
-        Any change — a claim appearing, a heartbeat landing, a retry
-        bumping attempts — counts as external progress and re-arms the
-        degrade grace period.  None when unclaimed.
-        """
-        lease = _read_json(self.queue._path("claimed", key))
-        if lease is None:
-            return None
-        return (
-            lease.get("owner"),
-            lease.get("attempts"),
-            lease.get("heartbeats"),
+        self.queue.submit(entry.recipe)
+        seen = supervise(
+            self.queue, self.store, [entry.key], self.owner,
+            degraded=self.degraded,
+            poll_s=self.poll_s,
+            serial_grace_s=self.serial_grace_s,
+            checkpoint_stride=self.checkpoint_stride,
         )
-
-    def _recompute(self, entry: InFlight) -> Dict[str, Any]:
-        """In-process fallback for a done task whose blob went missing."""
-        result = build_simulator(entry.recipe).run()
-        payload = result.to_json()
-        with_lock_retry(lambda: self.store.put(
-            entry.recipe, payload,
-            name=result_alias(entry.key), kind=TASK_KIND,
-            meta={"owner": self.owner},
-        ))
-        return payload
+        if seen.degraded:
+            self.degraded = True   # set-only, so racing resolvers agree
+        return seen.payloads[entry.key]

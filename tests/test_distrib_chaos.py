@@ -130,7 +130,7 @@ class TestGracefulWorkerShutdown:
         """SIGTERM = deploy rollover: release penalty-free, exit 0."""
         import signal
 
-        from repro.distrib.chaos import spawn_worker, wait_for_claim
+        from repro.distrib.chaos import spawn_repro, wait_for_claim
         from repro.distrib.queue import FileWorkQueue, _read_json
         from repro.distrib.worker import checkpoint_recipe
 
@@ -138,12 +138,14 @@ class TestGracefulWorkerShutdown:
         queue = FileWorkQueue(tmp_path / "queue", lease_s=30.0)
         store = store_for(tmp_path)
         task_id = queue.submit(recipes[0]).task_id
-        proc = spawn_worker(
-            tmp_path / "queue", tmp_path, 30.0, 100_000,
-            log_path=tmp_path / "worker.log",
+        proc = spawn_repro(
+            ["worker", "--queue-dir", str(tmp_path / "queue"),
+             "--results-dir", str(tmp_path), "--lease", "30",
+             "--checkpoint-stride", "100000", "--idle-exit", "15"],
+            tmp_path / "worker.log",
         )
         try:
-            wait_for_claim(queue, timeout_s=60.0)
+            wait_for_claim(queue, [task_id], timeout_s=60.0)
             proc.send_signal(signal.SIGTERM)
             assert proc.wait(timeout=120.0) == 0
         finally:

@@ -270,6 +270,44 @@ class TestReclaim:
         assert retry is not None
         assert retry.attempts == 2
 
+    def test_reclaim_during_claim_handshake_leaves_it_alone(
+        self, tmp_path, monkeypatch
+    ):
+        import os
+
+        queue = make_queue(tmp_path, corrupt_grace_s=2.0)
+        task = queue.submit(recipe(1))
+        # A task submitted long ago: its pending file's mtime is old,
+        # and a rename would carry that mtime into claimed/.
+        stamp = time.time() - 60.0
+        os.utime(queue._path("pending", task.task_id), (stamp, stamp))
+        # A concurrent supervisor reclaims between the claim's rename
+        # and its lease write (claim() reads the task body there).
+        seen = []
+        real_task = queue.task
+
+        def task_mid_handshake(task_id):
+            seen.append(queue.reclaim_expired())
+            return real_task(task_id)
+
+        monkeypatch.setattr(queue, "task", task_mid_handshake)
+        claimed = queue.claim("w1")
+        assert claimed is not None
+        assert seen == [[]]
+        assert not queue._path("pending", task.task_id).is_file()
+        assert queue.lease(task.task_id)["owner"] == "w1"
+
+    def test_lease_reads_only_written_leases(self, tmp_path):
+        queue = make_queue(tmp_path)
+        task = queue.submit(recipe(1))
+        assert queue.lease(task.task_id) is None          # pending
+        claimed = queue.claim("w1", now=1000.0)
+        lease = queue.lease(task.task_id)
+        assert lease["owner"] == "w1"
+        assert lease["deadline"] == claimed.deadline
+        queue._path("claimed", task.task_id).write_text("{torn")
+        assert queue.lease(task.task_id) is None          # corrupt
+
     def test_claim_for_done_task_is_released_not_requeued(self, tmp_path):
         queue = make_queue(tmp_path)
         task = queue.submit(recipe(1))

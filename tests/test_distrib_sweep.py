@@ -145,6 +145,50 @@ class TestSerialAndDegraded:
             assert blob_bytes(store_for(tmp_path / "serial"), key) == \
                 blob_bytes(store, key)
 
+    def test_dead_workers_expired_claim_degrades_the_sweep(self, tmp_path):
+        # The only worker claims a task and dies without heartbeating.
+        # Its claim once counted as "a worker exists" for the rest of
+        # the sweep, which then waited forever; a lease is life only
+        # while its deadline is in the future.
+        recipes = small_recipes()
+        queue = FileWorkQueue(tmp_path / "queue", lease_s=0.3)
+        store = store_for(tmp_path / "dist")
+        queue.submit(recipes[0])
+        assert queue.claim("dead-worker") is not None
+        outcome = run_distributed_sweep(
+            recipes, queue, store, poll_s=0.01, serial_grace_s=0.2,
+            timeout_s=4.0,
+        )
+        assert outcome.degraded
+        assert outcome.reclaimed == 1
+        serial_store = store_for(tmp_path / "serial")
+        serial = run_serial_sweep(recipes, serial_store)
+        assert outcome.result_keys == serial.result_keys
+        for key in serial.result_keys:
+            assert blob_bytes(serial_store, key) == blob_bytes(store, key)
+
+    def test_done_task_with_lost_blob_is_recomputed(self, tmp_path):
+        recipes = small_recipes()
+        serial_store = store_for(tmp_path / "serial")
+        run_serial_sweep(recipes, serial_store)
+        queue = FileWorkQueue(tmp_path / "queue")
+        store = store_for(tmp_path / "dist")
+        first = run_distributed_sweep(
+            recipes, queue, store, poll_s=0.0, serial_grace_s=0.0,
+        )
+        for key in first.result_keys:
+            store.blob_path(key).unlink()
+        # Every task is still done, so nothing is claimed or degraded:
+        # the lost blobs are recomputed straight from the task bodies.
+        again = run_distributed_sweep(
+            recipes, queue, store, poll_s=0.0, serial_grace_s=60.0,
+            timeout_s=10.0,
+        )
+        assert not again.degraded
+        assert again.result_keys == first.result_keys
+        for key in first.result_keys:
+            assert blob_bytes(serial_store, key) == blob_bytes(store, key)
+
     def test_resubmitted_sweep_reuses_done_tasks(self, tmp_path):
         recipes = small_recipes()
         queue = FileWorkQueue(tmp_path / "queue")

@@ -29,7 +29,7 @@ import pytest
 
 from repro.distrib.coordinator import run_serial_sweep
 from repro.distrib.queue import FileWorkQueue
-from repro.distrib.worker import sweep_task_recipe
+from repro.distrib.worker import execute_claimed_task, sweep_task_recipe
 from repro.results.store import content_key, store_for
 from repro.scenarios.spec import ScenarioSpec
 from repro.serve.client import (
@@ -202,6 +202,44 @@ class TestEngineExecution:
         state, poison = engine.lookup(entry.key)
         assert state == "failed"
         assert poison is not None and "error" in poison
+
+    def test_live_lease_keeps_the_engine_out_of_degraded_mode(
+        self, tmp_path
+    ):
+        # A worker holds the task under a 30 s lease and has not
+        # heartbeaten yet (beats come every lease_s/3): the task is
+        # alive, however long that takes past serial_grace_s.
+        engine, store, queue, _journal = make_engine(
+            tmp_path, lease_s=30.0, serial_grace_s=0.2,
+        )
+        recipe = small_recipe()
+        queue.submit(recipe)
+        claimed = queue.claim("worker-elsewhere")
+        entry, disposition = engine.submit(recipe)
+        assert disposition == "accepted"
+        time.sleep(0.6)
+        assert not engine.degraded
+        execute_claimed_task(queue, store, claimed)
+        assert engine.wait(entry, 60.0) is not None
+        assert not engine.degraded
+
+    def test_done_task_with_lost_blob_is_recomputed(self, tmp_path):
+        recipe = small_recipe()
+        key = content_key(recipe)
+        serial_store = store_for(tmp_path / "serial")
+        run_serial_sweep([recipe], serial_store)
+        engine, store, queue, _journal = make_engine(tmp_path / "served")
+        first, _ = engine.submit(recipe)
+        engine.wait(first, 60.0)
+        store.blob_path(key).unlink()
+        assert queue.done_record(key) is not None
+        again, disposition = engine.submit(recipe)
+        assert disposition == "accepted"
+        assert engine.wait(again, 60.0) == first.payload
+        assert (
+            store.blob_path(key).read_bytes()
+            == serial_store.blob_path(key).read_bytes()
+        )
 
     def test_lookup_states(self, tmp_path):
         engine, store, _queue, journal = make_engine(tmp_path)

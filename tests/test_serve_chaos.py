@@ -21,6 +21,7 @@ import time
 
 import pytest
 
+from repro.distrib.chaos import spawn_repro
 from repro.distrib.coordinator import run_serial_sweep
 from repro.distrib.worker import sweep_task_recipe
 from repro.results.store import content_key, store_for
@@ -28,7 +29,6 @@ from repro.scenarios.spec import ScenarioSpec
 from repro.serve.chaos import (
     ServeClient,
     run_serve_chaos_case,
-    spawn_daemon,
     wait_for_endpoint,
 )
 from repro.serve.engine import KILL_MID_REQUEST_EXIT
@@ -107,8 +107,10 @@ class TestGracefulDrain:
     ):
         recipe = chaos_recipes()[0]
         key = content_key(recipe)
-        proc = spawn_daemon(
-            tmp_path, log_path=tmp_path / "daemon.log",
+        proc = spawn_repro(
+            ["serve", "--results-dir", str(tmp_path),
+             "--serial-grace", "0.5"],
+            tmp_path / "daemon.log",
         )
         try:
             endpoint = wait_for_endpoint(tmp_path, proc.pid, 30.0)
@@ -139,7 +141,10 @@ class TestGracefulDrain:
         )
 
     def test_sigterm_idle_daemon_exits_zero_quickly(self, tmp_path):
-        proc = spawn_daemon(tmp_path, log_path=tmp_path / "daemon.log")
+        proc = spawn_repro(
+            ["serve", "--results-dir", str(tmp_path)],
+            tmp_path / "daemon.log",
+        )
         try:
             wait_for_endpoint(tmp_path, proc.pid, 30.0)
             proc.send_signal(signal.SIGTERM)

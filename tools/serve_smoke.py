@@ -37,13 +37,13 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
+from repro.distrib.chaos import spawn_repro  # noqa: E402
 from repro.distrib.coordinator import run_serial_sweep  # noqa: E402
 from repro.distrib.worker import sweep_task_recipe  # noqa: E402
 from repro.results.store import content_key, store_for  # noqa: E402
 from repro.scenarios.spec import ScenarioSpec  # noqa: E402
 from repro.serve.chaos import (  # noqa: E402
     poll_until_done,
-    spawn_daemon,
     wait_for_endpoint,
 )
 from repro.serve.client import ServeClient  # noqa: E402
@@ -94,9 +94,12 @@ def main(argv=None):
     store = store_for(daemon_dir)
 
     # -- first life: accept three requests, then die hard -------------
-    first = spawn_daemon(
-        daemon_dir, log_path=base / "daemon-1.log",
-    )
+    # Short leases: the killed daemon's claims expire within seconds.
+    args = [
+        "serve", "--results-dir", str(daemon_dir), "--lease", "1.5",
+        "--serial-grace", "0.5", "--checkpoint-stride", "20000",
+    ]
+    first = spawn_repro(args, base / "daemon-1.log")
     responses = []
     try:
         endpoint = wait_for_endpoint(daemon_dir, first.pid, 60.0)
@@ -140,7 +143,7 @@ def main(argv=None):
         )
 
     # -- second life: replay must finish everything --------------------
-    second = spawn_daemon(daemon_dir, log_path=base / "daemon-2.log")
+    second = spawn_repro(args, base / "daemon-2.log")
     try:
         endpoint = wait_for_endpoint(daemon_dir, second.pid, 60.0)
         client = ServeClient(endpoint["host"], endpoint["port"],
