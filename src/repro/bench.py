@@ -85,11 +85,10 @@ class BenchSpec:
       sums the simulated cycles of every task.
     * ``"serial-grid"`` / ``"batch-grid"`` — the same pinned
       12-defense grid (:func:`grid_defenses`) on ``workload``, run
-      point-by-point on the fast engine vs. through the NumPy batch
-      tier (:func:`repro.sim.batch.simulate_batch`); ``cycles`` sums
-      the simulated cycles of every lane, so the two rows' ratio *is*
-      the batch-tier speedup (``batch-grid`` is skipped when NumPy is
-      unavailable).  ``tracker``/``scheme`` are the markers
+      point-by-point on the fast engine vs. through the batch tier
+      (:func:`repro.sim.batch.simulate_batch`); ``cycles`` sums the
+      simulated cycles of every lane, so the two rows' ratio *is* the
+      batch-tier speedup.  ``tracker``/``scheme`` are the markers
       ``"mixed"``/``"grid"`` — grid rows have no single defense, and
       :meth:`defense` must not be called for them.
     """
@@ -279,7 +278,7 @@ class BenchReport:
 
         Both rows run in the same process on the same machine, so the
         ratio is calibration-normalized by construction.  None when
-        either row is absent (e.g. NumPy missing skipped the batch leg).
+        either row is absent (e.g. a ``specs`` subset left one out).
         """
         by_name = {result.spec.name: result for result in self.results}
         batch = by_name.get("tracker_grid_batch")
@@ -639,9 +638,7 @@ def _batch_grid_pass(spec: BenchSpec, n_requests: int):
 
     The identical grid through :func:`repro.sim.batch.simulate_batch`;
     the ratio against ``tracker_grid_serial`` is the tier's speedup on
-    an honest defense mix (PARA forces one fallback lane).  Raises
-    ImportError when NumPy is missing — ``run_benchmarks`` skips the
-    row with a note.
+    an honest defense mix (PARA forces one fallback lane).
     """
     from .sim.batch import simulate_batch
 
@@ -743,15 +740,7 @@ def run_benchmarks(
     calibration = calibrate()
     results: List[BenchResult] = []
     for spec in specs:
-        try:
-            result = run_one(spec, n_requests, repeats)
-        except ImportError as error:
-            # The batch-grid row needs NumPy; without it the row is
-            # skipped (never silently zeroed) and the pure-Python rows
-            # still produce a complete artifact.
-            if progress is not None:
-                progress(f"  {spec.name:<24} skipped: {error}")
-            continue
+        result = run_one(spec, n_requests, repeats)
         results.append(result)
         if progress is not None:
             progress(

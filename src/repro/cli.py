@@ -799,9 +799,9 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument(
         "--engine", choices=ENGINE_NAMES, default="fast",
         help="engine tier: the pinned reference loop, the fast event "
-             "engine (default), or the NumPy batch tier (a single "
-             "point degenerates to one fast run; requires numpy; "
-             "scenario presets always use the fast engine)",
+             "engine (default), or the leader/replay batch tier (a "
+             "single point degenerates to one fast run; scenario "
+             "presets always use the fast engine)",
     )
     simulate.set_defaults(func=_cmd_simulate)
 

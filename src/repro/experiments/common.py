@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from ..cache import CacheStats
-from ..sim.batch import batch_available, simulate_batch
+from ..sim.batch import simulate_batch
 from ..sim.config import DefenseConfig, SystemConfig
 from ..sim.metrics import geomean, normalized_weighted_speedup
 from ..sim.stats import SimResult
@@ -138,11 +138,6 @@ class SweepRunner:
     seed: int = 0
     #: Worker processes for :meth:`run_many` (1 = serial in-process).
     jobs: int = 1
-    #: Route serial :meth:`run_many` batches through the NumPy batch
-    #: engine tier (:func:`repro.sim.batch.simulate_batch`) when it is
-    #: available.  Results are bit-identical to per-point runs; set
-    #: False to force the per-point fast engine.
-    use_batch: bool = True
     _cache: Dict[tuple, SimResult] = field(default_factory=dict)
     _hits: int = 0
     _misses: int = 0
@@ -201,8 +196,9 @@ class SweepRunner:
         ``speedup()`` on the same point a hit.  Falls back to serial
         execution inside daemonic workers (e.g. when an orchestrator
         pool already owns the process), which cannot fork children.
-        Serial in-process batches route through the batch engine tier
-        when NumPy is available (see ``use_batch``), again with
+        Serial in-process batches of more than one uncached point route
+        through the batch engine tier
+        (:func:`repro.sim.batch.simulate_batch`), again with
         bit-identical results.
         """
         normalized = [_normalize_point(point) for point in points]
@@ -232,7 +228,7 @@ class SweepRunner:
             ):
                 cache[key] = result
                 self._misses += 1
-        elif self.use_batch and len(needed) > 1 and batch_available():
+        elif len(needed) > 1:
             # Serial in-process path: route the whole point group
             # through the batch engine tier, which replays compatible
             # lanes against one recorded leader run (bit-identical to

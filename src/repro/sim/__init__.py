@@ -7,7 +7,7 @@ from .config import (
     DefenseConfig,
     SystemConfig,
 )
-from .batch import BatchStats, batch_available, simulate_batch
+from .batch import BatchStats, simulate_batch
 from .core import CoreState
 from .metrics import (
     geomean,
@@ -22,7 +22,6 @@ from .system import ENGINE_NAMES, SystemSimulator, simulate_workload
 __all__ = [
     "ENGINE_NAMES",
     "BatchStats",
-    "batch_available",
     "simulate_batch",
     "DEFAULT_EXPRESS_TMRO_NS",
     "SCHEME_NAMES",

@@ -17,26 +17,24 @@ batch engine exploits this with a **leader/replay** scheme:
 
 * **Record** — one *leader* lane per group runs the real fast engine
   with recording shims wrapped around its per-bank kernel slots,
-  capturing every demand ACT, row close and RFM per bank
-  (structure-of-arrays int64 NumPy timelines, ``tests`` pin them).
-* **Replay** — every *follower* lane replays the recorded streams
-  through its own tracker kernels, vectorized per bank
-  (:mod:`repro.trackers.batch_kernels`), with an exact scalar replay
-  for the combinations the vector kernels cannot decide.  A follower
-  whose replay proves "no synchronous mitigation anywhere" gets the
-  leader's :class:`~repro.sim.stats.SimResult` verbatim with only its
-  own ``rfm_mitigations`` substituted — bit-identical to what a full
-  fast-engine run would produce (``tests/test_batch_engine.py`` pins
-  this against the oracle across the equivalence matrix).
+  capturing every demand ACT, row close and RFM per bank.
+* **Replay** — every *follower* lane drives the recorded per-bank
+  events through its own scheme's kernels, built by
+  :meth:`~repro.sim.config.DefenseConfig.build_scheme` exactly as a
+  real simulation builds them (same trackers, seeds and RNG draws).
+  The verdict is ``"valid"`` when no act/close kernel fired: the
+  follower then gets the leader's :class:`~repro.sim.stats.SimResult`
+  verbatim with only its own ``rfm_mitigations`` substituted —
+  bit-identical to what a full fast-engine run would produce
+  (``tests/test_batch_engine.py`` pins this against the oracle across
+  the equivalence matrix).  It is ``"diverged"`` as soon as one fires.
 * **Fall back** — if the leader itself fired (its run is still a valid
-  fast-engine run) or a follower's replay diverges, that lane is
-  simulated for real on the fast engine.  Correctness never depends on
-  the replay verdicts; they only decide which lanes get to skip work.
+  fast-engine run) or a follower's replay diverges or raises, that lane
+  is simulated for real on the fast engine.  Correctness never depends
+  on the replay verdicts; they only decide which lanes get to skip work.
 
-The fast engine stays the oracle; without NumPy the tier is simply
-unavailable (:func:`batch_available`) and every caller falls back to
-per-point fast-engine runs.  See docs/performance.md § "Batch engine
-tier".
+The fast engine stays the oracle.  See docs/performance.md § "Batch
+engine tier".
 """
 
 from __future__ import annotations
@@ -45,29 +43,19 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..trackers.batch_kernels import (
-    EV_ACT,
-    EV_CLOSE,
-    EV_RFM,
-    NUMPY_IMPORT_HINT,
-    numpy_available,
-    replay_lane_python,
-    replay_lane_vector,
-)
 from .config import DefenseConfig, SystemConfig
 from .stats import SimResult
 from .system import SystemSimulator
 
 __all__ = [
     "BatchStats",
-    "batch_available",
     "simulate_batch",
 ]
 
-
-def batch_available() -> bool:
-    """True when the batch tier can run (NumPy importable)."""
-    return numpy_available()
+#: Event kinds in a recorded per-bank stream of ``(kind, row, a, b)``.
+EV_ACT = 0      # demand activation of ``row``
+EV_CLOSE = 1    # row close: ``a`` is the ACT cycle, ``b`` the PRE cycle
+EV_RFM = 2      # RFM command: ``a`` is its start cycle
 
 
 @dataclass(slots=True)
@@ -76,8 +64,6 @@ class BatchStats:
 
     ``points`` counts input lanes (after the call's own dedup the
     unique lanes are ``leaders + replayed + fallbacks + singletons``).
-    ``vector_replays`` / ``python_replays`` count replay *attempts*;
-    a lane may appear in both when the vector verdict was "unknown".
     """
 
     points: int = 0        #: input lanes (including duplicates)
@@ -86,8 +72,6 @@ class BatchStats:
     replayed: int = 0      #: follower lanes served by replay
     fallbacks: int = 0     #: follower lanes re-simulated for real
     singletons: int = 0    #: lanes alone in their group (plain fast run)
-    vector_replays: int = 0
-    python_replays: int = 0
 
 
 #: Leader preference within a group: lanes whose kernels provably never
@@ -141,28 +125,17 @@ def _timing_signature(defense: Optional[DefenseConfig],
     return (tmro, False, None)
 
 
-class _BankLog:
-    """One bank's recorded events as parallel Python lists (append-hot)."""
-
-    __slots__ = ("kinds", "rows", "a", "b")
-
-    def __init__(self) -> None:
-        self.kinds: List[int] = []
-        self.rows: List[int] = []
-        self.a: List[int] = []
-        self.b: List[int] = []
-
-
 class _Recorder:
     """Wraps a leader simulator's kernel slots with recording shims.
 
-    The shims append to per-flat-bank :class:`_BankLog` streams at
-    exactly the points the controller would invoke the real kernels, so
-    recorded order equals kernel-invocation order.  The real kernels
-    still run (the leader's own result must be a genuine fast-engine
-    run); ``fired`` flips as soon as any act/close kernel returns a
-    mitigation, which invalidates replay for *all* followers (RFM
-    returns are timing-neutral and do not count).
+    The shims append ``(kind, row, a, b)`` events to per-flat-bank lists
+    (``channel * banks_per_channel + bank``) at exactly the points the
+    controller would invoke the real kernels, so recorded order equals
+    kernel-invocation order.  The real kernels still run (the leader's
+    own result must be a genuine fast-engine run); ``fired`` flips as
+    soon as any act/close kernel returns a mitigation, which invalidates
+    replay for *all* followers (RFM returns are timing-neutral and do
+    not count).
     """
 
     __slots__ = ("logs", "_fired")
@@ -170,8 +143,8 @@ class _Recorder:
     def __init__(self, simulator: SystemSimulator) -> None:
         system = simulator.system
         per = system.banks_per_channel
-        self.logs = [
-            _BankLog() for _ in range(system.channels * per)
+        self.logs: List[List[Tuple[int, int, int, int]]] = [
+            [] for _ in range(system.channels * per)
         ]
         self._fired = [False]
         for channel, controller in enumerate(simulator.controllers):
@@ -183,18 +156,15 @@ class _Recorder:
         """True once any act/close kernel fired a synchronous mitigation."""
         return self._fired[0]
 
-    def _install(self, controller, bank: int, log: _BankLog) -> None:
+    def _install(self, controller, bank: int, log: list) -> None:
         real_act = controller._act_kernels[bank]
         real_close = controller._close_kernels[bank]
         real_rfm = controller._rfm_kernels[bank]
         fired = self._fired
-        kinds, rows, a, b = log.kinds, log.rows, log.a, log.b
+        append = log.append
 
         def act(row):
-            kinds.append(EV_ACT)
-            rows.append(row)
-            a.append(0)
-            b.append(0)
+            append((EV_ACT, row, 0, 0))
             if real_act is None:
                 return 0
             count = real_act(row)
@@ -203,10 +173,7 @@ class _Recorder:
             return count
 
         def close(row, act_cycle, pre_cycle):
-            kinds.append(EV_CLOSE)
-            rows.append(row)
-            a.append(act_cycle)
-            b.append(pre_cycle)
+            append((EV_CLOSE, row, act_cycle, pre_cycle))
             if real_close is None:
                 return 0
             count = real_close(row, act_cycle, pre_cycle)
@@ -215,28 +182,45 @@ class _Recorder:
             return count
 
         def rfm(start):
-            kinds.append(EV_RFM)
-            rows.append(-1)
-            a.append(start)
-            b.append(0)
+            append((EV_RFM, -1, start, 0))
             return real_rfm(start)
 
         controller._act_kernels[bank] = act
         controller._close_kernels[bank] = close
         controller._rfm_kernels[bank] = rfm
 
-    def timeline(self, banks_per_channel: int, timings):
-        """The recorded streams as a NumPy :class:`RecordedTimeline`."""
-        from ..trackers.batch_kernels import BankEvents, RecordedTimeline
 
-        return RecordedTimeline(
-            [
-                BankEvents(log.kinds, log.rows, log.a, log.b)
-                for log in self.logs
-            ],
-            banks_per_channel,
-            timings,
-        )
+def _replay_follower(defense: DefenseConfig, system: SystemConfig,
+                     logs) -> Tuple[str, int]:
+    """Replay a leader's recorded events through a follower's kernels.
+
+    Builds the follower's own scheme per channel — the construction,
+    seeds and kernel objects a real simulation would use — and drives
+    each bank's events through it in service order.  Returns
+    ``(verdict, rfm_mitigations)``: ``"valid"`` with the exact count
+    when no act/close kernel fired, ``"diverged"`` as soon as one does
+    (the lane's timeline would have bent, so it must be simulated for
+    real).  Exceptions (e.g. PRAC's out-of-range row) are the caller's
+    cue to re-simulate too, so the error surfaces from the real engine.
+    """
+    per = system.banks_per_channel
+    mitigated = 0
+    for channel in range(system.channels):
+        scheme = defense.build_scheme(system.timings, per)
+        for act, close, rfm, log in zip(
+            scheme.act_kernels(), scheme.close_kernels(),
+            scheme.rfm_kernels(), logs[channel * per:(channel + 1) * per],
+        ):
+            for kind, row, a, b in log:
+                if kind == EV_ACT:
+                    if act is not None and act(row):
+                        return "diverged", 0
+                elif kind == EV_CLOSE:
+                    if close is not None and close(row, a, b):
+                        return "diverged", 0
+                elif rfm(a) is not None:
+                    mitigated += 1
+    return "valid", mitigated
 
 
 def _compiled_for(workload, system: SystemConfig,
@@ -286,13 +270,8 @@ def simulate_batch(
     with the same ``system`` / ``n_requests_per_core`` / ``seed`` —
     lanes the replay cannot prove safe are simply simulated for real.
     A single-lane batch therefore degenerates to one fast-engine run.
-
-    Raises ImportError when NumPy is unavailable; callers that want the
-    graceful fallback should guard on :func:`batch_available`.  Pass a
-    :class:`BatchStats` to observe how the work was divided.
+    Pass a :class:`BatchStats` to observe how the work was divided.
     """
-    if not numpy_available():
-        raise ImportError(NUMPY_IMPORT_HINT)
     system = system or SystemConfig()
     timings = system.timings
     st = stats if stats is not None else BatchStats()
@@ -349,23 +328,15 @@ def simulate_batch(
                 results[key] = full_sim(key)
             continue
 
-        timeline = recorder.timeline(system.banks_per_channel, timings)
         for key in followers:
-            defense = key[1] or DefenseConfig()
-            st.vector_replays += 1
-            verdict, rfm = replay_lane_vector(defense, timeline)
-            if verdict == "unknown":
-                st.python_replays += 1
-                try:
-                    valid, rfm = replay_lane_python(
-                        defense, timings, system.banks_per_channel,
-                        system.channels, recorder.logs,
-                    )
-                except Exception:
-                    # e.g. PRAC's out-of-range row: re-simulate so the
-                    # error (or its absence) comes from the real engine.
-                    valid = False
-                verdict = "valid" if valid else "diverged"
+            try:
+                verdict, rfm = _replay_follower(
+                    key[1] or DefenseConfig(), system, recorder.logs
+                )
+            except Exception:
+                # e.g. PRAC's out-of-range row: re-simulate so the
+                # error (or its absence) comes from the real engine.
+                verdict = "diverged"
             if verdict == "valid":
                 st.replayed += 1
                 results[key] = _follower_result(results[leader_key], rfm)

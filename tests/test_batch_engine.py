@@ -3,35 +3,31 @@
 Extends the PR 2–3 reference-vs-fast equivalence matrix one tier up:
 :func:`repro.sim.batch.simulate_batch` must return exactly the
 :class:`SimResult` the fast engine produces for every lane — whether the
-lane was the recorded leader, a vectorized replay, a scalar replay, or
-a divergence fallback.  Also pins the NumPy MT19937 transplant PARA's
-vector replay depends on, the ``run_many`` batch routing's blob
-identity, and the graceful degradation when NumPy is missing.
+lane was the recorded leader, a replayed follower, or a divergence
+fallback.  Also pins the RFM-count substitution of replayed followers,
+the ``run_many`` batch routing's blob identity, and that no simulator,
+worker or daemon process imports a third-party package.
 """
 
-import dataclasses
 import json
-import random
+import os
+import subprocess
+import sys
 
 import pytest
 
-np = pytest.importorskip("numpy")
-
 from repro.experiments.common import SweepRunner
 from repro.sim import simulate_workload
+import repro.sim.batch as batch
 from repro.sim.batch import (
     BatchStats,
     _Recorder,
-    batch_available,
+    _replay_follower,
+    _timing_signature,
     simulate_batch,
 )
 from repro.sim.config import DefenseConfig, SystemConfig
 from repro.sim.system import SystemSimulator
-from repro.trackers.batch_kernels import (
-    numpy_rng_from,
-    replay_lane_python,
-    replay_lane_vector,
-)
 from repro.workloads.compiled import compiled_rate_mode_traces
 
 from test_engine_equivalence import DEFENSES, _defense_id, _fuzzed_specs
@@ -176,19 +172,22 @@ class TestRunManyRouting:
     ]
 
     def test_blob_identity_vs_serial(self):
-        batched = SweepRunner(system=SMALL, n_requests=60, seed=3)
-        serial = SweepRunner(system=SMALL, n_requests=60, seed=3,
-                             use_batch=False)
-        assert batched.use_batch and batch_available()
+        runner = SweepRunner(system=SMALL, n_requests=60, seed=3)
         blobs_batched = [
-            result_blob(r) for r in batched.run_many(self.GRID)
+            result_blob(r) for r in runner.run_many(self.GRID)
         ]
         blobs_serial = [
-            result_blob(r) for r in serial.run_many(self.GRID)
+            result_blob(simulate_workload(
+                workload, defense, system=SMALL, n_requests_per_core=60,
+                tmro_ns=tmro_ns, seed=3,
+            ))
+            for workload, defense, tmro_ns in self.GRID
         ]
         assert blobs_batched == blobs_serial
-        # Identical cache accounting: the duplicate is computed once.
-        assert batched.cache_stats() == serial.cache_stats()
+        # The duplicate is computed once: one miss per unique point.
+        stats = runner.cache_stats()
+        assert stats.misses == len(set(self.GRID)) == len(self.GRID) - 1
+        assert stats.hits == 0
 
     def test_single_point_stays_unbatched(self):
         runner = SweepRunner(system=SMALL, n_requests=60)
@@ -198,67 +197,107 @@ class TestRunManyRouting:
         )
 
 
-def _recorded_timeline(workload="mcf", defense=None, n_requests=150,
-                       system=SMALL, seed=7):
-    """A leader run with recording shims, for replay-internal tests."""
-    compiled = compiled_rate_mode_traces(
-        workload, system.n_cores, n_requests, seed, system.mapper()
-    )
-    simulator = SystemSimulator(system, defense=defense, compiled=compiled)
-    recorder = _Recorder(simulator)
-    result = simulator.run()
-    assert not recorder.fired
-    return recorder, result, system
-
-
 class TestReplayInternals:
-    def test_para_numpy_rng_transplant(self):
-        rng = random.Random(123)
-        expected = [rng.random() for _ in range(64)]
-        rng = random.Random(123)
-        transplanted = numpy_rng_from(rng)
-        assert list(transplanted.random_sample(64)) == expected
-
-    def test_vector_agrees_with_python_replay(self):
-        recorder, _result, system = _recorded_timeline()
-        timeline = recorder.timeline(
-            system.banks_per_channel, system.timings
+    def test_rfm_followers_replay_with_their_own_counts(self):
+        # One RFM timing group: a MINT leader, and MINT (other seed,
+        # other scheme) and Mithril followers replayed through their
+        # own on_rfm kernels.  Blob identity pins each follower's
+        # substituted rfm_mitigations against a real run.
+        points = [
+            ("mcf", DefenseConfig(tracker="mint", scheme="no-rp",
+                                  rfmth=20), None),
+            ("mcf", DefenseConfig(tracker="mint", scheme="no-rp",
+                                  rfmth=20, seed=5), None),
+            ("mcf", DefenseConfig(tracker="mint", scheme="impress-p",
+                                  rfmth=20), None),
+            ("mcf", DefenseConfig(tracker="mithril", scheme="no-rp",
+                                  rfmth=20), None),
+        ]
+        stats = BatchStats()
+        results = simulate_batch(
+            points, system=SMALL, n_requests_per_core=150, seed=7,
+            stats=stats,
         )
-        for defense in DEFENSES:
-            if defense is None or defense.uses_rfm:
-                continue  # RFM lanes live in a separate timing group
-            verdict, rfm = replay_lane_vector(defense, timeline)
-            valid, py_rfm = replay_lane_python(
-                defense, system.timings, system.banks_per_channel,
-                system.channels, recorder.logs,
+        assert stats.groups == 1 and stats.leaders == 1
+        assert stats.replayed == len(points) - 1
+        for (workload, defense, _tmro), result in zip(points, results):
+            assert result.rfm_mitigations > 0, _defense_id(defense)
+            oracle = simulate_workload(
+                workload, defense, system=SMALL, n_requests_per_core=150,
+                seed=7,
             )
-            if verdict == "valid":
-                assert valid and rfm == py_rfm == 0, _defense_id(defense)
-
-    def test_rfm_counts_match_python_replay(self):
-        defense = DefenseConfig(tracker="mint", scheme="no-rp", rfmth=20)
-        recorder, _result, system = _recorded_timeline(defense=defense)
-        timeline = recorder.timeline(
-            system.banks_per_channel, system.timings
-        )
-        for follower in (
-            defense,
-            DefenseConfig(tracker="mithril", scheme="no-rp", rfmth=20),
-        ):
-            verdict, rfm = replay_lane_vector(follower, timeline)
-            valid, py_rfm = replay_lane_python(
-                follower, system.timings, system.banks_per_channel,
-                system.channels, recorder.logs,
+            assert result_blob(result) == result_blob(oracle), (
+                _defense_id(defense)
             )
-            assert verdict == "valid" and valid
-            assert rfm == py_rfm, _defense_id(follower)
 
     def test_leader_recording_does_not_change_result(self):
-        _recorder, recorded, system = _recorded_timeline()
+        compiled = compiled_rate_mode_traces(
+            "mcf", SMALL.n_cores, 150, 7, SMALL.mapper()
+        )
+        simulator = SystemSimulator(SMALL, compiled=compiled)
+        recorder = _Recorder(simulator)
+        recorded = simulator.run()
+        assert not recorder.fired and any(recorder.logs)
         plain = simulate_workload(
-            "mcf", system=system, n_requests_per_core=150, seed=7
+            "mcf", system=SMALL, n_requests_per_core=150, seed=7
         )
         assert result_blob(recorded) == result_blob(plain)
+
+
+    def test_replay_verdicts_agree_with_full_runs(self):
+        # Every non-RFM follower sharing the no-defense leader's timing
+        # signature: a "valid" verdict means a real run reproduces the
+        # leader's result exactly; "diverged" (PARA's probabilistic
+        # mitigations) means the real run bent the timeline.
+        compiled = compiled_rate_mode_traces(
+            "mcf", SMALL.n_cores, 150, 7, SMALL.mapper()
+        )
+        simulator = SystemSimulator(SMALL, compiled=compiled)
+        recorder = _Recorder(simulator)
+        leader = simulator.run()
+        signature = _timing_signature(None, None, SMALL.timings)
+        verdicts = {}
+        for defense in DEFENSES[1:]:
+            if _timing_signature(defense, None, SMALL.timings) != signature:
+                continue
+            verdict, rfm = _replay_follower(defense, SMALL, recorder.logs)
+            verdicts[_defense_id(defense)] = verdict
+            assert rfm == 0, _defense_id(defense)
+            oracle = simulate_workload(
+                "mcf", defense, system=SMALL, n_requests_per_core=150,
+                seed=7,
+            )
+            same = result_blob(oracle) == result_blob(leader)
+            assert same == (verdict == "valid"), _defense_id(defense)
+        assert verdicts["graphene-no-rp"] == "valid"
+        assert verdicts["para-no-rp"] == "diverged"
+
+    def test_diverged_follower_is_simulated_for_real(self):
+        points = [
+            ("mcf", None, None),
+            ("mcf", DefenseConfig(tracker="para", scheme="no-rp", trh=100),
+             None),
+        ]
+        stats = BatchStats()
+        assert_batch_matches_fast(points, SMALL, 150, 7, stats=stats)
+        assert stats.groups == 1 and stats.leaders == 1
+        assert stats.replayed == 0 and stats.fallbacks == 1
+
+    def test_raising_replay_falls_back_to_real_run(self, monkeypatch):
+        def broken_replay(defense, system, logs):
+            raise RuntimeError("replay failed")
+
+        monkeypatch.setattr(batch, "_replay_follower", broken_replay)
+        points = [
+            ("mcf", None, None),
+            ("mcf", DefenseConfig(tracker="graphene", scheme="no-rp"), None),
+            ("mcf", DefenseConfig(tracker="dsac", scheme="no-rp", trh=300),
+             None),
+        ]
+        stats = BatchStats()
+        assert_batch_matches_fast(points, SMALL, 150, 7, stats=stats)
+        assert stats.leaders == 1
+        assert stats.replayed == 0 and stats.fallbacks == 2
 
 
 class TestEngineSelection:
@@ -279,30 +318,6 @@ class TestEngineSelection:
                               n_requests_per_core=20)
 
 
-class TestNumpyFallback:
-    """Without NumPy the tier reports unavailable and callers degrade."""
-
-    def test_unavailable_paths(self, monkeypatch):
-        import repro.trackers.batch_kernels as bk
-
-        monkeypatch.setattr(bk, "np", None)
-        assert not batch_available()
-        with pytest.raises(ImportError, match="pip install numpy"):
-            simulate_batch([("mcf", None, None)], system=SMALL,
-                           n_requests_per_core=20)
-        with pytest.raises(ImportError, match="pip install numpy"):
-            simulate_workload("mcf", engine="batch", system=SMALL,
-                              n_requests_per_core=20)
-        # run_many silently falls back to per-point fast runs.
-        runner = SweepRunner(system=SMALL, n_requests=20)
-        results = runner.run_many(
-            [("mcf", None, None),
-             ("mcf", DefenseConfig(tracker="graphene", scheme="no-rp"),
-              None)]
-        )
-        assert len(results) == 2
-
-
 class TestStatsAccounting:
     def test_partition_adds_up(self):
         stats = BatchStats()
@@ -318,4 +333,19 @@ class TestStatsAccounting:
             stats.leaders + stats.replayed + stats.fallbacks
             + stats.singletons == unique
         )
-        assert stats.vector_replays >= stats.replayed
+
+
+def test_no_third_party_imports():
+    """The simulator, worker and daemon import only the standard library."""
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, repro.sim, repro.distrib.worker, repro.serve.server; "
+         "print('numpy' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -2,15 +2,14 @@
 """CI smoke: one batched sweep grid must be bit-identical to the fast engine.
 
 Runs a small mixed-tracker grid twice — once through
-``repro.sim.batch.simulate_batch`` (the NumPy leader/replay tier) and
+``repro.sim.batch.simulate_batch`` (the leader/replay tier) and
 once per-point through ``simulate_workload`` (the fast engine oracle) —
 and asserts every lane's canonical JSON blob is byte-identical.  Also
 asserts the batch run actually exercised the replay path (``replayed >
 0``), so a silent degradation to per-lane full simulations cannot pass
 as equivalence.
 
-Exit codes: 0 identical (or NumPy missing — the tier is optional, so
-the smoke degrades to a skip), 1 any lane diverged.
+Exit codes: 0 identical, 1 any lane diverged or none replayed.
 
 Usage (the CI perf-smoke equivalence gate):
 
@@ -28,14 +27,9 @@ def result_blob(result) -> bytes:
 
 
 def main() -> int:
-    from repro.sim.batch import BatchStats, batch_available, simulate_batch
+    from repro.sim.batch import BatchStats, simulate_batch
     from repro.sim.config import DefenseConfig, SystemConfig
     from repro.sim.system import simulate_workload
-
-    if not batch_available():
-        print("equivalence-smoke: numpy unavailable; batch tier "
-              "disabled, nothing to check (skip)")
-        return 0
 
     system = SystemConfig(n_cores=2, banks_per_channel=8)
     requests = 120
@@ -81,8 +75,7 @@ def main() -> int:
 
     print(
         f"equivalence-smoke: {len(points)} lanes -> "
-        f"{stats.leaders} leaders, {stats.replayed} replayed "
-        f"({stats.vector_replays} vector / {stats.python_replays} python), "
+        f"{stats.leaders} leaders, {stats.replayed} replayed, "
         f"{stats.fallbacks} fallbacks, {stats.singletons} singletons"
     )
     if mismatches:
