@@ -502,8 +502,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         if not args.distributed:
             outcome = run_serial_sweep(recipes, store)
         else:
-            from .distrib.chaos import spawn_repro
             from .distrib.queue import FileWorkQueue
+            from .distrib.worker import spawn_worker
 
             queue_dir = Path(
                 args.queue_dir
@@ -512,16 +512,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             )
             queue = FileWorkQueue(queue_dir, lease_s=args.lease)
             for i in range(args.spawn_workers):
-                workers.append(spawn_repro(
-                    [
-                        "worker",
-                        "--queue-dir", str(queue_dir),
-                        "--results-dir", str(args.results_dir),
-                        "--lease", str(args.lease),
-                        "--checkpoint-stride", str(stride or 0),
-                        "--idle-exit", "15",
-                    ],
+                workers.append(spawn_worker(
+                    queue_dir, Path(args.results_dir),
                     queue_dir / f"worker-{i}.log",
+                    lease_s=args.lease, checkpoint_stride=stride or 0,
                 ))
             try:
                 outcome = run_distributed_sweep(

@@ -11,15 +11,15 @@ many worker processes — on one host or many, sharing only a filesystem
 * :mod:`repro.distrib.worker` — the ``repro worker`` loop: claim,
   simulate (checkpointing engine snapshots into the store at a cycle
   stride so a reclaimed task resumes instead of restarting), ``put()``
-  the result blob, mark done.
+  the result blob, mark done; also the one ``repro worker``
+  subprocess launcher.
 * :mod:`repro.distrib.coordinator` — shards a batch of scenario sweep
   points into recipe tasks, supervises leases (reclaim, speculation),
   degrades to in-process serial execution when no worker ever shows
   up, and collects results in submission order.
-* :mod:`repro.distrib.chaos` — the chaos harness: spawn real worker
-  subprocesses, SIGKILL them mid-task, freeze their heartbeats,
-  corrupt their claim files — and assert the sweep still completes
-  with blobs bit-identical to a serial run.
+
+The fault-case runner that kills these workers for real and demands
+blobs byte-identical to a serial run is :mod:`repro.chaos`.
 
 Exactly-once delivery is not implemented — it falls out of content
 addressing: a retried or speculatively re-executed task recomputes the

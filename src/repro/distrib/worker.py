@@ -37,10 +37,13 @@ import base64
 import os
 import pickle
 import signal
+import subprocess
+import sys
 import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, Optional
+from pathlib import Path
+from typing import Any, Dict, Optional, Sequence
 
 from ..results import store as store_mod
 from ..results.store import ResultStore, with_lock_retry
@@ -414,3 +417,47 @@ def run_worker(
             if outcome == "deduplicated":
                 summary.deduplicated += 1
     return summary
+
+
+def spawn_repro(args: Sequence[str], log_path: Path) -> subprocess.Popen:
+    """Start ``python -m repro.cli <args>`` as a subprocess.
+
+    The one launcher behind ``repro sweep --spawn-workers`` and the
+    fault-case runner (:mod:`repro.chaos`): the child resolves this
+    checkout's :mod:`repro` and writes stdout and stderr to
+    ``log_path``.
+    """
+    src = str(Path(__file__).resolve().parents[2])
+    existing = os.environ.get("PYTHONPATH", "")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = f"{src}{os.pathsep}{existing}" if existing else src
+    with open(log_path, "w") as log:
+        return subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", *args],
+            stdout=log, stderr=subprocess.STDOUT, env=env,
+        )
+
+
+def spawn_worker(
+    queue_dir: Path,
+    results_dir: Path,
+    log_path: Path,
+    lease_s: float,
+    checkpoint_stride: int,
+    fault: Optional[str] = None,
+) -> subprocess.Popen:
+    """Start one ``repro worker`` subprocess (0 stride = no checkpoints).
+
+    It exits once every task is terminal or after 15 s without work.
+    """
+    args = [
+        "worker",
+        "--queue-dir", str(queue_dir),
+        "--results-dir", str(results_dir),
+        "--lease", str(lease_s),
+        "--checkpoint-stride", str(checkpoint_stride),
+        "--idle-exit", "15",
+    ]
+    if fault is not None:
+        args += ["--fault", fault]
+    return spawn_repro(args, log_path)

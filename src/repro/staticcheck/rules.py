@@ -266,8 +266,9 @@ class AtomicWriteOnly(FileRule):
     torn JSON that reads back as corruption (or worse, an empty
     index).  All such writes go through the ``atomic_write_text`` /
     ``_atomic_write_json`` helpers; only temp files, lock sidecars and
-    log streams may be written directly.  The chaos harnesses are
-    excluded — manufacturing torn state is their job.
+    log streams may be written directly.  The fault-case runner
+    (``repro/chaos.py``) is excluded by name — manufacturing torn
+    state is its job.
     """
 
     rule_id = "atomic-write-only"

@@ -3,7 +3,7 @@
 Everything here runs in one process — workers are exercised through
 :func:`run_worker` / :func:`execute_claimed_task` directly, and the
 coordinator's degraded serial mode stands in for a fleet.  The
-process-killing faults live in ``test_distrib_chaos.py`` (they would
+process-killing faults live in ``test_chaos.py`` (they would
 take pytest down with them); this file owns the deterministic claims:
 
 * serial, degraded, and worker-executed runs produce *byte-identical*

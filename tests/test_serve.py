@@ -4,7 +4,7 @@ Everything here is in-process and fast — the engine executes misses
 through its own sticky-degraded path (no worker subprocesses), and the
 HTTP daemon binds port 0 on localhost inside the test.  The
 process-killing recovery claims (SIGKILL mid-request, restart, replay,
-graceful SIGTERM drain) live in ``test_serve_chaos.py``.
+graceful SIGTERM drain) live in ``test_chaos.py``.
 
 The load-bearing claims:
 

@@ -1,17 +1,26 @@
 #!/usr/bin/env python
-"""CI chaos smoke: kill a real worker mid-run, demand identical bytes.
+"""CI chaos smoke: fault real worker or daemon processes, demand same bytes.
 
-Runs one full chaos experiment (the same harness the test matrix
-uses): a serial reference sweep, then the same task recipes through
-the distributed queue with two real ``repro worker`` subprocesses —
-one of which is SIGKILLed while it holds the first claim — and
-finally a byte-for-byte comparison of every result blob against the
-serial run.
+Runs one full fault case (the same runner the test matrix uses,
+:func:`repro.chaos.run_fault_case`): a serial reference sweep, then
+the same task recipes through real subprocesses under the chosen
+fault, and finally a byte-for-byte comparison of every result blob
+against the serial run.
 
-Exit 0 means the sweep completed and every blob is byte-identical.
-Any other outcome exits 1 after printing the report, and leaves the
-queue/store directories in place (CI uploads them as the forensic
-artifact).
+* Worker faults run two ``repro worker`` subprocesses against a
+  shared queue; the default SIGKILLs the one holding the first claim.
+* Daemon faults kill a ``repro serve`` daemon inside a journal crash
+  window and restart it.  ``sigkill-after-accept`` sends every request
+  concurrently, one of them twice, and SIGKILLs the daemon once all
+  are accepted; the journal must then hold exactly the unique keys.
+  Either way the restarted daemon must replay everything, drain with
+  exit 0 leaving an empty journal and no endpoint file, and leave
+  (after ``gc``) exactly the expected blobs.
+
+Exit 0 means the fault fired, every process exited as required and
+every blob is byte-identical.  Any other outcome exits 1 after
+printing the report, and leaves the base directory in place (CI
+uploads it as the forensic artifact).
 
 Usage:
     PYTHONPATH=src python tools/chaos_smoke.py [--base-dir DIR]
@@ -25,10 +34,9 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.distrib.chaos import EXTERNAL_FAULTS, run_chaos_case  # noqa: E402
+from repro.chaos import FAULTS, run_fault_case  # noqa: E402
 from repro.distrib.coordinator import shard_points  # noqa: E402
 from repro.scenarios.spec import ScenarioSpec  # noqa: E402
-from repro.security.faults import KNOWN_FAULTS  # noqa: E402
 from repro.sim.config import SystemConfig  # noqa: E402
 
 
@@ -37,20 +45,18 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--base-dir", default="chaos-smoke",
-        help="directory for the serial reference, queue and stores "
-             "(kept on failure for artifact upload)",
+        help="directory for the serial reference, queue, stores and "
+             "logs (kept on failure for artifact upload)",
     )
     parser.add_argument(
         "--fault", default="sigkill-claim-holder",
-        choices=sorted(EXTERNAL_FAULTS) + sorted(
-            name for name in KNOWN_FAULTS if name.startswith("worker-")
-        ),
+        choices=sorted(name for name in FAULTS if name is not None),
         help="which death to inject (default: SIGKILL the claim holder)",
     )
     parser.add_argument(
         "--requests", type=int, default=60_000,
-        help="requests per core per task (sized so the lease expires "
-             "mid-simulation on the CI runner)",
+        help="requests per core per task (sized so a lease expires, or "
+             "the daemon dies, mid-simulation on the CI runner)",
     )
     parser.add_argument("--workers", type=int, default=2)
     args = parser.parse_args(argv)
@@ -62,9 +68,10 @@ def main(argv=None):
     ]
     recipes = shard_points(specs, args.requests, 0)
 
-    print(f"chaos smoke: fault={args.fault}, {len(recipes)} task(s), "
-          f"{args.workers} worker(s)")
-    report = run_chaos_case(
+    fault = FAULTS[args.fault]
+    print(f"chaos smoke: {args.fault} ({fault.target}: "
+          f"{fault.description}), {len(recipes)} task(s)")
+    report = run_fault_case(
         Path(args.base_dir),
         recipes,
         fault=args.fault,
@@ -75,15 +82,17 @@ def main(argv=None):
     )
     for line in report.summary_lines():
         print(line)
-    for line in report.outcome.summary_lines():
-        print(line)
+    if report.outcome is not None:
+        for line in report.outcome.summary_lines():
+            print(line)
     if not report.fault_fired:
         print("FAIL: the injected fault never fired (vacuous run)")
         return 1
     if not report.ok:
-        print("FAIL: distributed blobs differ from the serial reference")
+        print("FAIL: a blob differs from the serial reference, or a "
+              "process did not exit as required")
         return 1
-    print("OK: sweep completed; every blob byte-identical to serial")
+    print("OK: fault fired; every blob byte-identical to serial")
     return 0
 
 
