@@ -177,8 +177,9 @@ def _try_resume(
 ) -> Optional[int]:
     """Restore a stored checkpoint into ``sim``; returns its cycle.
 
-    Any defect — missing blob, torn pickle, engine or topology
-    mismatch — falls back to from-scratch execution (returns None).
+    Any defect — missing blob, torn pickle, stale snapshot format,
+    engine or topology mismatch — falls back to from-scratch execution
+    (returns None).
     A checkpoint is an optimization, never a correctness dependency.
     """
     payload = store.fetch(checkpoint_recipe(task_id))

@@ -4,16 +4,10 @@ from .controller import (
     BANK_QUEUE_CAPACITY,
     VICTIMS_PER_MITIGATION,
     ChannelController,
-    Completion,
-    ServiceResult,
 )
-from .request import InFlightRequest
 
 __all__ = [
     "BANK_QUEUE_CAPACITY",
     "VICTIMS_PER_MITIGATION",
     "ChannelController",
-    "Completion",
-    "ServiceResult",
-    "InFlightRequest",
 ]

@@ -5,7 +5,11 @@ simulator drives it with two calls:
 
 * :meth:`enqueue` — a core's LLC miss arrives;
 * :meth:`service` — the bank is (possibly) free: do the highest-priority
-  piece of work and report when to look again and which requests finished.
+  piece of work and report when to look again and which request finished.
+
+A queued demand request is a plain ``(row, core_id, is_write)`` tuple,
+and :meth:`service` returns a plain ``(next_wake, done_cycle, core_id)``
+tuple with ``done_cycle == -1`` when no demand request finished.
 
 Scheduling priority per bank (Section III and the baseline of Table II):
 
@@ -23,8 +27,10 @@ ImPress-N earns its window credits and ImPress-P its EACT records.
 per-bank activate/close/RFM kernels are hoisted into flat lists at
 construction, so the service path never goes through
 ``scheme.on_row_closed -> tracker_for -> record`` dynamic dispatch; the
-timing fields used per step are cached as plain ints; and ``service`` /
-``_serve_demand`` read each per-bank object exactly once into locals.
+timing fields used per step are cached as plain ints; and ``service``
+reads each per-bank object exactly once into locals.  The demand path
+runs inside ``service`` (no second call per request) and builds no
+request or result object beyond the two tuples above.
 Scheduling decisions are unchanged — ``tests/test_sim_golden.py`` pins
 the pre-refactor results.
 """
@@ -32,14 +38,13 @@ the pre-refactor results.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Optional, Tuple
 
 from ..core.mitigation import MitigationScheme
 from ..dram.bank import Bank
 from ..dram.commands import CommandCounts
 from ..dram.refresh import RefreshScheduler
 from ..dram.timing import CycleTimings
-from .request import InFlightRequest
 
 #: Demand-queue capacity per bank; cores back off when it fills.
 BANK_QUEUE_CAPACITY = 16
@@ -49,29 +54,20 @@ BANK_QUEUE_CAPACITY = 16
 VICTIMS_PER_MITIGATION = 4
 
 
-@dataclass(slots=True)
-class Completion:
-    """A demand request finished: data back at ``cycle`` for ``core_id``."""
+#: A queued demand request: ``(row, core_id, is_write)``.
+QueueEntry = Tuple[int, int, bool]
 
-    cycle: int
-    core_id: int
-    is_write: bool
-
-
-@dataclass(slots=True)
-class ServiceResult:
-    """What a service step did and when the bank needs attention next."""
-
-    next_wake: Optional[int] = None
-    completions: Sequence[Completion] = ()
-    worked: bool = False
+#: What :meth:`ChannelController.service` returns:
+#: ``(next_wake, done_cycle, core_id)``; ``done_cycle`` is -1 (and
+#: ``core_id`` meaningless) when no demand request finished.
+ServiceStep = Tuple[int, int, int]
 
 
 @dataclass(slots=True)
 class BankBookkeeping:
     """Controller-side per-bank state beyond the DRAM bank itself."""
 
-    queue: List[InFlightRequest] = field(default_factory=list)
+    queue: List[QueueEntry] = field(default_factory=list)
     pending_mitigations: int = 0      # aggressors awaiting victim refresh
     acts_since_rfm: int = 0
     busy_until: int = 0
@@ -154,11 +150,11 @@ class ChannelController:
     def can_accept(self, bank_id: int) -> bool:
         return len(self.state[bank_id].queue) < BANK_QUEUE_CAPACITY
 
-    def enqueue(self, request: InFlightRequest) -> None:
-        bank_id = request.bank
+    def enqueue(self, bank_id: int, row: int, core_id: int,
+                is_write: bool = False) -> None:
         if not self.can_accept(bank_id):
             raise RuntimeError(f"bank {bank_id} queue full")
-        self.state[bank_id].queue.append(request)
+        self.state[bank_id].queue.append((row, core_id, is_write))
 
     def pending_requests(self, bank_id: int) -> int:
         return len(self.state[bank_id].queue)
@@ -222,12 +218,16 @@ class ChannelController:
 
     # -- the scheduling step ---------------------------------------------
 
-    def service(self, bank_id: int, cycle: int) -> ServiceResult:
-        """Do one piece of work on the bank at ``cycle``."""
+    def service(self, bank_id: int, cycle: int) -> ServiceStep:
+        """Do one piece of work on the bank at ``cycle``.
+
+        Returns ``(next_wake, done_cycle, core_id)``; see the module
+        docstring.
+        """
         book = self.state[bank_id]
         busy_until = book.busy_until
         if busy_until > cycle:
-            return ServiceResult(next_wake=busy_until)
+            return busy_until, -1, -1
         bank = self.banks[bank_id]
         tpre = self._tPRE
 
@@ -246,7 +246,7 @@ class ChannelController:
             refresh.issue(start)
             self.counts.refreshes += 1
             book.busy_until = done
-            return ServiceResult(next_wake=done, worked=True)
+            return done, -1, -1
 
         # 2. RFM (in-DRAM tracker configurations).
         if self.use_rfm and book.acts_since_rfm >= self.rfmth:
@@ -266,7 +266,7 @@ class ChannelController:
             if self._rfm_kernels[bank_id](start) is not None:
                 self.rfm_mitigations += 1
             book.busy_until = done
-            return ServiceResult(next_wake=done, worked=True)
+            return done, -1, -1
 
         # 3. Mitigative victim refreshes (MC-based trackers).
         if book.pending_mitigations > 0:
@@ -285,7 +285,7 @@ class ChannelController:
             book.busy_until = done
             # Keep the bank's ACT clock coherent for the next demand ACT.
             bank.block_until(done)
-            return ServiceResult(next_wake=done, worked=True)
+            return done, -1, -1
 
         # 4. tMRO expiry (ExPress / tMRO sweeps).
         tmro = self.tmro_cycles
@@ -298,135 +298,109 @@ class ChannelController:
             pre_cycle = self._close_row(bank_id, cycle)
             self.tmro_closures += 1
             book.busy_until = pre_cycle + tpre
-            return ServiceResult(next_wake=book.busy_until, worked=True)
+            return book.busy_until, -1, -1
 
-        # 5. Demand requests, hits first.
-        if book.queue:
-            return self._serve_demand(bank_id, cycle, book, bank)
-
-        # 6. Idle precharge: close a row nobody is hitting.
         idle_close = self.idle_close_cycles
-        if (
-            idle_close is not None
-            and bank_open
-            and not book.queue
-            and cycle - book.last_use >= idle_close
-        ):
-            pre_cycle = self._close_row(bank_id, cycle)
-            book.busy_until = pre_cycle + tpre
-            return ServiceResult(next_wake=book.busy_until, worked=True)
+        queue = book.queue
+        if not queue:
+            # 6. Idle precharge: close a row nobody is hitting.
+            if (
+                idle_close is not None
+                and bank_open
+                and cycle - book.last_use >= idle_close
+            ):
+                pre_cycle = self._close_row(bank_id, cycle)
+                book.busy_until = pre_cycle + tpre
+                return book.busy_until, -1, -1
+            # Nothing to do: wake at the next deadline (below).
+            wake = done_cycle = core_id = -1
+        else:
+            # 5. Demand requests, row hits first (FR-FCFS), else oldest.
+            counts = self.counts
+            tccd = self._tCCD
+            request: Optional[QueueEntry] = None
+            open_row = bank.open_row
+            if open_row is not None:
+                for queued in queue:
+                    if queued[0] == open_row:
+                        request = queued
+                        break
+            if request is not None:
+                # Row hit: column access only (inlined
+                # Bank.column_access).  remove() takes the first equal
+                # entry, which is this one: an earlier equal entry would
+                # have matched first.
+                self.row_hits += 1
+                queue.remove(request)
+                row, core_id, is_write = request
+                ready = bank._ready_col
+                col_cycle = cycle if cycle >= ready else ready
+                book.columns_since_act += 1
+            else:
+                # Oldest request: conflict (open other row) or miss.
+                row, core_id, is_write = queue.pop(0)
+                start = cycle
+                if open_row is not None:
+                    self.row_conflicts += 1
+                    start = self._close_row(bank_id, cycle) + tpre
+                else:
+                    self.row_misses += 1
+                act_cycle = self._activate(bank_id, row, start)
+                core_acts = self.core_demand_acts
+                core_acts[core_id] = core_acts.get(core_id, 0) + 1
+                col_cycle = act_cycle + self._tRCD
+                bank_col = bank._ready_col
+                if col_cycle < bank_col:
+                    col_cycle = bank_col
+                book.columns_since_act = 1
+            bank._ready_col = col_cycle + tccd
+            # A write completes at column issue, a read when its data
+            # returns.
+            if is_write:
+                counts.writes += 1
+                done_cycle = col_cycle
+            else:
+                counts.reads += 1
+                done_cycle = col_cycle + self._tCAS
+            wake = col_cycle + tccd
+            book.busy_until = wake
+            book.last_use = col_cycle
+            # MOP auto-precharge once the row-group burst is exhausted
+            # (inlined _maybe_mop_close).
+            mop = self.mop_burst_lines
+            if (
+                mop is not None
+                and bank.open_row is not None
+                and book.columns_since_act >= mop
+            ):
+                pre_ready = self._close_row(bank_id, col_cycle) + tpre
+                if pre_ready > wake:
+                    wake = pre_ready
+                    book.busy_until = wake
+            if queue or book.pending_mitigations or (
+                self.use_rfm and book.acts_since_rfm >= self.rfmth
+            ):
+                return wake, done_cycle, core_id
+            # Nothing else pending on this bank: skip the busy_until
+            # no-op wakeup and report the real next deadline, clamped to
+            # busy_until so no work happens earlier than it would have.
+            # This removes one service round-trip per request without
+            # moving any command to a different cycle.
 
-        # Nothing to do: wake for refresh, tMRO expiry or idle close.
-        wake = refresh._next_due
-        if bank_open:
+        # Next deadline: refresh, tMRO expiry or idle close.
+        deadline = refresh._next_due
+        if bank.open_row is not None:
             if tmro is not None:
                 tmro_wake = book.act_cycle + tmro
-                if tmro_wake < wake:
-                    wake = tmro_wake
-            if idle_close is not None and not book.queue:
+                if tmro_wake < deadline:
+                    deadline = tmro_wake
+            if idle_close is not None:
                 idle_wake = book.last_use + idle_close
-                if idle_wake < wake:
-                    wake = idle_wake
-        return ServiceResult(next_wake=wake)
-
-    def _serve_demand(
-        self,
-        bank_id: int,
-        cycle: int,
-        book: BankBookkeeping,
-        bank: Bank,
-    ) -> ServiceResult:
-        """Serve one demand request; the caller guarantees a non-empty
-        queue and passes the bank state it already fetched."""
-        queue = book.queue
-        counts = self.counts
-        tccd = self._tCCD
-        request: Optional[InFlightRequest] = None
-        open_row = bank.open_row
-        if open_row is not None:
-            for queued in queue:
-                if queued.row == open_row:
-                    request = queued
-                    break
-        if request is not None:
-            # Row hit: column access only (inlined Bank.column_access).
-            self.row_hits += 1
-            queue.remove(request)
-            ready = bank._ready_col
-            col_cycle = cycle if cycle >= ready else ready
-            bank._ready_col = col_cycle + tccd
-            data_cycle = col_cycle + self._tCAS
-            book.columns_since_act += 1
-        else:
-            # Oldest request: conflict (open other row) or miss (closed).
-            request = queue.pop(0)
-            start = cycle
-            if open_row is not None:
-                self.row_conflicts += 1
-                start = self._close_row(bank_id, cycle) + self._tPRE
-            else:
-                self.row_misses += 1
-            act_cycle = self._activate(bank_id, request.row, start)
-            core_acts = self.core_demand_acts
-            core_id = request.core_id
-            core_acts[core_id] = core_acts.get(core_id, 0) + 1
-            col_cycle = act_cycle + self._tRCD
-            bank_col = bank._ready_col
-            if col_cycle < bank_col:
-                col_cycle = bank_col
-            bank._ready_col = col_cycle + tccd
-            data_cycle = col_cycle + self._tCAS
-            book.columns_since_act = 1
-        if request.is_write:
-            counts.writes += 1
-        else:
-            counts.reads += 1
-        busy_until = col_cycle + tccd
-        book.busy_until = busy_until
-        book.last_use = col_cycle
-        # MOP auto-precharge once the row-group burst is exhausted
-        # (inlined _maybe_mop_close).
-        mop = self.mop_burst_lines
-        if (
-            mop is not None
-            and bank.open_row is not None
-            and book.columns_since_act >= mop
-        ):
-            pre_ready = self._close_row(bank_id, col_cycle) + self._tPRE
-            if pre_ready > busy_until:
-                busy_until = pre_ready
-                book.busy_until = busy_until
-        # When nothing else is pending on this bank, skip the busy_until
-        # no-op wakeup: report the real next deadline (refresh / tMRO /
-        # idle close), clamped to busy_until so no work happens earlier
-        # than it would have.  This removes one service round-trip per
-        # request without moving any command to a different cycle.
-        wake = busy_until
-        if not queue and book.pending_mitigations == 0 and not (
-            self.use_rfm and book.acts_since_rfm >= self.rfmth
-        ):
-            deadline = self.refresh[bank_id]._next_due
-            if bank.open_row is not None:
-                tmro = self.tmro_cycles
-                if tmro is not None:
-                    tmro_wake = book.act_cycle + tmro
-                    if tmro_wake < deadline:
-                        deadline = tmro_wake
-                idle_close = self.idle_close_cycles
-                if idle_close is not None:
-                    idle_wake = book.last_use + idle_close
-                    if idle_wake < deadline:
-                        deadline = idle_wake
-            if deadline > wake:
-                wake = deadline
-        done_cycle = col_cycle if request.is_write else data_cycle
-        return ServiceResult(
-            next_wake=wake,
-            completions=[
-                Completion(done_cycle, request.core_id, request.is_write)
-            ],
-            worked=True,
-        )
+                if idle_wake < deadline:
+                    deadline = idle_wake
+        if deadline > wake:
+            wake = deadline
+        return wake, done_cycle, core_id
 
     # -- wrap-up -----------------------------------------------------------
 

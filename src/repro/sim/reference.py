@@ -25,7 +25,6 @@ from typing import List, Optional, Sequence
 from ..core.mitigation import MitigationScheme
 from ..dram.commands import CommandCounts
 from ..memctrl.controller import ChannelController
-from ..memctrl.request import InFlightRequest
 from ..workloads.trace import Trace
 from .config import DefenseConfig, SystemConfig
 from .core import CoreState
@@ -120,12 +119,7 @@ class ReferenceSimulator:
                 self._push(cycle + QUEUE_RETRY_CYCLES, EVENT_CORE, core.core_id)
                 return
             controller.enqueue(
-                InFlightRequest(
-                    core_id=core.core_id,
-                    mapped=mapped,
-                    is_write=request.is_write,
-                    enqueue_cycle=cycle,
-                )
+                mapped.bank, mapped.row, core.core_id, request.is_write
             )
             self._push(
                 cycle, EVENT_BANK, self._flat_bank(mapped.channel, mapped.bank)
@@ -197,18 +191,19 @@ class ReferenceSimulator:
                 self._try_issue(self.cores[payload], cycle)
             elif kind == EVENT_BANK:
                 channel, bank = self._unflatten(payload)
-                result = self.controllers[channel].service(bank, cycle)
-                extra = self.system.extra_latency_cycles
-                for completion in result.completions:
+                next_wake, done_cycle, core_id = self.controllers[
+                    channel
+                ].service(bank, cycle)
+                if done_cycle >= 0:
                     self._push(
-                        completion.cycle + extra, EVENT_DONE, completion.core_id
+                        done_cycle + self.system.extra_latency_cycles,
+                        EVENT_DONE,
+                        core_id,
                     )
                     remaining -= 1
                     pending_done += 1
-                if result.next_wake is not None and result.next_wake >= cycle:
-                    self._push(
-                        max(result.next_wake, cycle + 1), EVENT_BANK, payload
-                    )
+                if next_wake >= cycle:
+                    self._push(max(next_wake, cycle + 1), EVENT_BANK, payload)
             else:  # EVENT_DONE
                 pending_done -= 1
                 core = self.cores[payload]

@@ -15,6 +15,11 @@ Design rules:
   dispatch tables and scheme wiring are construction-time constants; a
   snapshot is only valid for a simulator constructed identically (the
   :attr:`EngineSnapshot.engine` tag guards against crossing engines).
+* **The state layout is versioned.**  :attr:`EngineSnapshot.format`
+  records :data:`SNAPSHOT_FORMAT`, and :func:`restore` refuses any
+  other value (or none), so a checkpoint pickled by code with another
+  layout fails up front instead of loading foreign objects into the
+  queues and dying cycles later.
 * **Restore mutates containers in place.**  Controller kernels and
   tracker closures captured references to queues, tables and counters
   at construction; rebinding those containers would silently split the
@@ -23,15 +28,20 @@ Design rules:
   whoever registered them (the invariant monitor, tests); snapshots
   neither capture nor clear them, so a monitor stays attached across a
   restore.
-* **Queued requests are shared, not copied.**  ``InFlightRequest``
-  objects are never mutated after construction, so the queue snapshot
-  is a tuple of the live references.
+* **Queued requests are shared, not copied.**  A queue entry is an
+  immutable ``(row, core_id, is_write)`` tuple, so the queue snapshot
+  is a tuple of the live entries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Optional, Tuple
+
+#: Layout version of captured state; bump it whenever what a snapshot
+#: holds changes shape.  2: queue entries are ``(row, core_id,
+#: is_write)`` tuples (format 1, untagged, held request objects).
+SNAPSHOT_FORMAT = 2
 
 _COUNT_FIELDS = (
     "demand_acts",
@@ -92,6 +102,8 @@ class EngineSnapshot:
     bank_wake: Optional[tuple]        # fast engine only
     cores: Tuple[tuple, ...]
     controllers: Tuple[ControllerSnapshot, ...]
+    # Last, so that unpickling an untagged older snapshot leaves it unset.
+    format: int = SNAPSHOT_FORMAT
 
 
 def _capture_controller(controller) -> ControllerSnapshot:
@@ -168,6 +180,12 @@ def capture(sim) -> EngineSnapshot:
 
 def restore(sim, snap: EngineSnapshot) -> None:
     """Write a snapshot back into a compatibly-constructed simulator."""
+    found = getattr(snap, "format", None)
+    if found != SNAPSHOT_FORMAT:
+        raise ValueError(
+            f"snapshot format {found!r} is not {SNAPSHOT_FORMAT}; "
+            "it was captured by code with another state layout"
+        )
     bank_wake = getattr(sim, "_bank_wake", None)
     engine = "reference" if bank_wake is None else "fast"
     if engine != snap.engine:

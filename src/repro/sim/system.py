@@ -28,6 +28,12 @@ then flushed so ImPress-P records their final EACTs.
 * Traces are pre-compiled to ``(channel, bank, row)`` arrays once per
   ``(trace, mapper)`` via :mod:`repro.workloads.compiled`, so the issue
   path does list indexing instead of per-request address arithmetic.
+* The demand path builds no per-request object beyond two tuples:
+  issue queues a ``(row, core_id, is_write)`` entry straight from the
+  compiled arrays, and ``service`` answers with a ``(next_wake,
+  done_cycle, core_id)`` tuple.  Issue and retire run inline in
+  ``run_until`` (no per-request ``_try_issue`` or ``CoreState.retire``
+  call), which also keeps the event sequence counter in a local.
 
 Behavior is bit-identical to :class:`repro.sim.reference.ReferenceSimulator`
 (the preserved original loop); ``tests/test_engine_equivalence.py``
@@ -42,7 +48,6 @@ from typing import List, Optional, Sequence
 from ..core.mitigation import MitigationScheme
 from ..dram.commands import CommandCounts
 from ..memctrl.controller import BANK_QUEUE_CAPACITY, ChannelController
-from ..memctrl.request import InFlightRequest
 from ..workloads.compiled import CompiledTrace, compile_traces, mapper_key
 from ..workloads.trace import Trace
 from .config import DefenseConfig, SystemConfig
@@ -82,7 +87,7 @@ class SystemSimulator:
         "system", "defense", "mapper", "controllers", "cores",
         "_compiled", "_heap", "_seq", "_now", "_started", "_remaining",
         "_pending_done", "_bank_wake", "_service_fns", "_local_banks",
-        "_chan_states",
+        "_chan_states", "_issue_arrays",
     )
 
     def __init__(
@@ -169,84 +174,12 @@ class SystemSimulator:
         self._chan_states = [
             controller.state for controller in self.controllers
         ]
-
-    # -- core issue logic -------------------------------------------------
-
-    def _try_issue(self, core: CoreState, cycle: int) -> None:
-        compiled = self._compiled[core.core_id]
-        banks = compiled.banks
-        channels = compiled.channels
-        rows = compiled.rows
-        columns = compiled.columns
-        flats = compiled.flat_banks
-        writes = compiled.is_write
-        gaps = compiled.gaps
-        length = compiled.length
-        chan_states = self._chan_states
-        heap = self._heap
-        push = heapq.heappush
-        bank_wake = self._bank_wake
-        core_id = core.core_id
-        mlp = core.mlp
-        while core.index < length and core.outstanding < mlp:
-            index = core.index
-            bank = banks[index]
-            channel = channels[index]
-            # Direct queue access: the capacity check here is the same
-            # one can_accept/enqueue would repeat.
-            book = chan_states[channel][bank]
-            queue = book.queue
-            if len(queue) >= BANK_QUEUE_CAPACITY:
-                self._seq += 1
-                push(
-                    heap,
-                    (((cycle + QUEUE_RETRY_CYCLES) << _SEQ_BITS | self._seq)
-                     << _LOW_BITS) | _CORE_TAG | core_id,
-                )
-                return
-            queue.append(
-                InFlightRequest(
-                    core_id=core_id,
-                    is_write=writes[index],
-                    enqueue_cycle=cycle,
-                    channel=channel,
-                    bank=bank,
-                    row=rows[index],
-                    column=columns[index],
-                )
-            )
-            # Wake the bank when it can actually serve: an arrival at a
-            # busy bank would only get a busy-return from service(), so
-            # schedule straight for busy_until instead of polling now.
-            wake_at = book.busy_until
-            if wake_at < cycle:
-                wake_at = cycle
-            flat = flats[index]
-            wake = bank_wake[flat]
-            if wake < 0 or wake_at < wake:
-                bank_wake[flat] = wake_at
-                self._seq += 1
-                push(
-                    heap,
-                    ((wake_at << _SEQ_BITS | self._seq) << _LOW_BITS)
-                    | _BANK_TAG | flat,
-                )
-            core.index = index + 1
-            core.outstanding += 1
-            if core.outstanding >= mlp:
-                core.stalled_on_mlp = True
-                return
-            if core.index < length:
-                gap = gaps[core.index]
-                if gap > 0:
-                    self._seq += 1
-                    push(
-                        heap,
-                        (((cycle + gap) << _SEQ_BITS | self._seq)
-                         << _LOW_BITS) | _CORE_TAG | core_id,
-                    )
-                    return
-                # gap == 0: keep issuing at this cycle.
+        #: Per-core compiled arrays the issue path reads, in one tuple.
+        self._issue_arrays = [
+            (entry.banks, entry.channels, entry.rows, entry.flat_banks,
+             entry.is_write, entry.gaps, entry.length)
+            for entry in self._compiled
+        ]
 
     # -- main loop ----------------------------------------------------------
 
@@ -302,7 +235,8 @@ class SystemSimulator:
         push = heapq.heappush
         pop = heapq.heappop
         cores = self.cores
-        compiled = self._compiled
+        issue_arrays = self._issue_arrays
+        chan_states = self._chan_states
         bank_wake = self._bank_wake
         service_fns = self._service_fns
         local_banks = self._local_banks
@@ -312,6 +246,7 @@ class SystemSimulator:
             if stop_cycle is not None
             else _NO_STOP
         )
+        seq = self._seq
         remaining = self._remaining
         pending_done = self._pending_done
         cycle = self._now
@@ -331,43 +266,105 @@ class SystemSimulator:
                 if bank_wake[payload] != cycle:
                     continue    # superseded by an earlier wakeup
                 bank_wake[payload] = -1
-                result = service_fns[payload](local_banks[payload], cycle)
-                completions = result.completions
-                if completions:
-                    for completion in completions:
-                        self._seq += 1
-                        push(
-                            heap,
-                            (((completion.cycle + extra) << _SEQ_BITS
-                              | self._seq) << _LOW_BITS)
-                            | _DONE_TAG | completion.core_id,
-                        )
-                    remaining -= len(completions)
-                    pending_done += len(completions)
-                wake = result.next_wake
-                if wake is not None and wake >= cycle:
+                wake, done_cycle, core_id = service_fns[payload](
+                    local_banks[payload], cycle
+                )
+                if done_cycle >= 0:
+                    seq += 1
+                    push(
+                        heap,
+                        (((done_cycle + extra) << _SEQ_BITS | seq)
+                         << _LOW_BITS) | _DONE_TAG | core_id,
+                    )
+                    remaining -= 1
+                    pending_done += 1
+                if wake >= cycle:
                     if wake <= cycle:
                         wake = cycle + 1
                     # bank_wake[payload] is -1 here: it was cleared at
                     # pop and neither service() nor the DONE pushes
                     # touch it, so this push is never superseded.
                     bank_wake[payload] = wake
-                    self._seq += 1
+                    seq += 1
                     push(
                         heap,
-                        ((wake << _SEQ_BITS | self._seq) << _LOW_BITS)
+                        ((wake << _SEQ_BITS | seq) << _LOW_BITS)
                         | _BANK_TAG | payload,
                     )
-            elif kind == EVENT_DONE:
+                continue
+            core = cores[payload]
+            if kind == EVENT_DONE:
                 pending_done -= 1
-                core = cores[payload]
-                core.retire(cycle)
-                if core.stalled_on_mlp:
-                    core.stalled_on_mlp = False
-                    if core.index < compiled[payload].length:
-                        self._try_issue(core, cycle)
-            else:  # EVENT_CORE
-                self._try_issue(cores[payload], cycle)
+                # Retire (inlined CoreState.retire).
+                outstanding = core.outstanding - 1
+                if outstanding < 0:
+                    raise RuntimeError("retire with no outstanding request")
+                core.outstanding = outstanding
+                core.retired += 1
+                if outstanding == 0 and core.index >= core.trace_length:
+                    core.finish_cycle = cycle
+                if not core.stalled_on_mlp:
+                    continue
+                # The retirement unblocked an MLP-stalled core: issue.
+                core.stalled_on_mlp = False
+            # Issue the core's next requests (EVENT_CORE, or a stalled
+            # core unblocked above) until it stalls, waits out a think
+            # gap, finds its bank queue full, or runs out of trace.
+            banks, channels, rows, flats, writes, gaps, length = (
+                issue_arrays[payload]
+            )
+            index = core.index
+            outstanding = core.outstanding
+            mlp = core.mlp
+            while index < length and outstanding < mlp:
+                # Direct queue access: the capacity check here is the
+                # same one can_accept/enqueue would repeat.
+                book = chan_states[channels[index]][banks[index]]
+                queue = book.queue
+                if len(queue) >= BANK_QUEUE_CAPACITY:
+                    seq += 1
+                    push(
+                        heap,
+                        (((cycle + QUEUE_RETRY_CYCLES) << _SEQ_BITS | seq)
+                         << _LOW_BITS) | _CORE_TAG | payload,
+                    )
+                    break
+                queue.append((rows[index], payload, writes[index]))
+                # Wake the bank when it can actually serve: an arrival at
+                # a busy bank would only get a busy-return from service(),
+                # so schedule straight for busy_until, not a poll now.
+                wake_at = book.busy_until
+                if wake_at < cycle:
+                    wake_at = cycle
+                flat = flats[index]
+                wake = bank_wake[flat]
+                if wake < 0 or wake_at < wake:
+                    bank_wake[flat] = wake_at
+                    seq += 1
+                    push(
+                        heap,
+                        ((wake_at << _SEQ_BITS | seq) << _LOW_BITS)
+                        | _BANK_TAG | flat,
+                    )
+                index += 1
+                outstanding += 1
+                if outstanding >= mlp:
+                    core.stalled_on_mlp = True
+                    break
+                if index < length:
+                    gap = gaps[index]
+                    if gap > 0:
+                        seq += 1
+                        push(
+                            heap,
+                            (((cycle + gap) << _SEQ_BITS | seq)
+                             << _LOW_BITS) | _CORE_TAG | payload,
+                        )
+                        break
+                    # gap == 0: keep issuing at this cycle.
+            core.index = index
+            core.outstanding = outstanding
+        self._seq = seq
         self._now = cycle
         self._remaining = remaining
         self._pending_done = pending_done

@@ -3,13 +3,11 @@
 import pytest
 
 from repro.core.mitigation import ImpressPScheme, NoRpScheme
-from repro.dram.address import MappedAddress
 from repro.memctrl.controller import (
     BANK_QUEUE_CAPACITY,
     VICTIMS_PER_MITIGATION,
     ChannelController,
 )
-from repro.memctrl.request import InFlightRequest
 from repro.trackers.base import AccountingTracker
 from repro.trackers.para import ParaTracker
 
@@ -22,24 +20,37 @@ def make_controller(timings, scheme_cls=NoRpScheme, num_banks=2, **kwargs):
     )
 
 
-def demand(core, bank, row, column=0, cycle=0, write=False):
-    return InFlightRequest(
-        core_id=core,
-        mapped=MappedAddress(channel=0, bank=bank, row=row, column=column),
-        is_write=write,
-        enqueue_cycle=cycle,
-    )
+class TestServiceContract:
+    def test_idle_bank_reports_wake_and_no_completion(self, timings):
+        controller = make_controller(timings)
+        wake, done_cycle, _core = controller.service(0, 0)
+        assert wake == controller.refresh[0].next_due
+        assert done_cycle == -1
+
+    def test_busy_bank_reports_busy_until(self, timings):
+        controller = make_controller(timings)
+        controller.enqueue(0, 5, core_id=0)
+        controller.enqueue(0, 5, core_id=1)
+        controller.service(0, 0)
+        busy_until = controller.state[0].busy_until
+        assert controller.service(0, busy_until - 1) == (busy_until, -1, -1)
+        assert controller.pending_requests(0) == 1
+
+    def test_queue_entries_are_plain_tuples(self, timings):
+        controller = make_controller(timings)
+        controller.enqueue(1, 7, core_id=3, is_write=True)
+        assert controller.state[1].queue == [(7, 3, True)]
 
 
 class TestDemandPath:
     def test_miss_then_hit(self, timings):
         controller = make_controller(timings)
-        controller.enqueue(demand(0, 0, 5, 0))
-        controller.enqueue(demand(0, 0, 5, 1))
-        first = controller.service(0, 0)
-        assert first.worked and len(first.completions) == 1
-        second = controller.service(0, first.next_wake)
-        assert second.worked
+        controller.enqueue(0, 5, core_id=0)
+        controller.enqueue(0, 5, core_id=1)
+        first_wake, first_done, first_core = controller.service(0, 0)
+        assert first_done >= 0 and first_core == 0
+        _wake, second_done, second_core = controller.service(0, first_wake)
+        assert second_done > first_done and second_core == 1
         assert controller.row_misses == 1
         assert controller.row_hits == 1
         assert controller.counts.demand_acts == 1
@@ -47,9 +58,9 @@ class TestDemandPath:
     def test_conflict_closes_and_reopens(self, timings):
         controller = make_controller(timings, idle_close_cycles=None,
                                      mop_burst_lines=None)
-        controller.enqueue(demand(0, 0, 5))
+        controller.enqueue(0, 5, core_id=0)
         controller.service(0, 0)
-        controller.enqueue(demand(0, 0, 9))
+        controller.enqueue(0, 9, core_id=0)
         # Step at busy_until: next_wake now reports the real next
         # deadline (refresh/tMRO/idle), not the bank-free cycle.
         cycle = max(controller.state[0].busy_until, timings.tRAS)
@@ -60,73 +71,74 @@ class TestDemandPath:
     def test_fr_fcfs_prefers_hit(self, timings):
         controller = make_controller(timings, idle_close_cycles=None,
                                      mop_burst_lines=None)
-        controller.enqueue(demand(0, 0, 5))
+        controller.enqueue(0, 5, core_id=0)
         controller.service(0, 0)
         # Queue a conflicting row first, then a hit to the open row.
-        controller.enqueue(demand(0, 0, 9, 2))
-        controller.enqueue(demand(0, 0, 5, 1))
-        controller.service(0, controller.state[0].busy_until)
+        controller.enqueue(0, 9, core_id=2)
+        controller.enqueue(0, 5, core_id=1)
+        _wake, done_cycle, core_id = controller.service(
+            0, controller.state[0].busy_until
+        )
         assert controller.row_hits == 1  # the younger hit won
+        assert done_cycle >= 0 and core_id == 1
+        assert controller.state[0].queue == [(9, 2, False)]
 
     def test_write_completes_at_column_issue(self, timings):
         controller = make_controller(timings)
-        controller.enqueue(demand(0, 0, 5, write=True))
-        result = controller.service(0, 0)
-        completion = result.completions[0]
-        assert completion.is_write
+        controller.enqueue(0, 5, core_id=0, is_write=True)
+        _wake, done_cycle, core_id = controller.service(0, 0)
+        # The write completes at column issue: one tCCD before the bank
+        # frees, and before a read's data would return (tCAS later).
+        col_cycle = controller.state[0].last_use
+        assert done_cycle == col_cycle
+        assert controller.state[0].busy_until == col_cycle + timings.tCCD
+        assert core_id == 0
         assert controller.counts.writes == 1
+        assert controller.counts.reads == 0
+
+    def test_read_completes_when_data_returns(self, timings):
+        controller = make_controller(timings)
+        controller.enqueue(0, 5, core_id=4)
+        _wake, done_cycle, core_id = controller.service(0, 0)
+        assert done_cycle == controller.state[0].last_use + timings.tCAS
+        assert core_id == 4
+        assert controller.counts.reads == 1
 
     def test_queue_capacity(self, timings):
         controller = make_controller(timings)
         for i in range(BANK_QUEUE_CAPACITY):
-            controller.enqueue(demand(0, 0, i))
+            controller.enqueue(0, i, core_id=0)
         assert not controller.can_accept(0)
         with pytest.raises(RuntimeError):
-            controller.enqueue(demand(0, 0, 99))
-
-
-class TestInFlightRequest:
-    def test_requires_an_address(self):
-        with pytest.raises(TypeError):
-            InFlightRequest(core_id=0, is_write=True, enqueue_cycle=5)
-
-    def test_rejects_mixed_address_forms(self):
-        mapped = MappedAddress(channel=0, bank=1, row=2, column=0)
-        with pytest.raises(TypeError):
-            InFlightRequest(core_id=0, mapped=mapped, row=7)
-
-    def test_flattened_coordinates_match_mapped(self):
-        mapped = MappedAddress(channel=1, bank=3, row=7, column=2)
-        via_mapped = InFlightRequest(core_id=0, mapped=mapped)
-        via_ints = InFlightRequest(core_id=0, channel=1, bank=3, row=7,
-                                   column=2)
-        assert via_mapped.mapped == via_ints.mapped == mapped
-        assert (via_ints.channel, via_ints.bank, via_ints.row) == (1, 3, 7)
+            controller.enqueue(0, 99, core_id=0)
 
 
 class TestMopAndIdleClose:
     def test_mop_burst_closes_after_n_columns(self, timings):
         controller = make_controller(timings, mop_burst_lines=2,
                                      idle_close_cycles=None)
-        controller.enqueue(demand(0, 0, 5, 0))
-        controller.enqueue(demand(0, 0, 5, 1))
-        wake = controller.service(0, 0).next_wake
-        controller.service(0, wake)
+        controller.enqueue(0, 5, core_id=0)
+        controller.enqueue(0, 5, core_id=0)
+        wake, _done, _core = controller.service(0, 0)
+        _wake, done_cycle, _core = controller.service(0, wake)
+        assert done_cycle >= 0
         assert not controller.banks[0].is_open
         assert controller.counts.precharges == 1
 
     def test_idle_close_fires(self, timings):
         controller = make_controller(timings, mop_burst_lines=None,
                                      idle_close_cycles=100)
-        controller.enqueue(demand(0, 0, 5))
-        wake = controller.service(0, 0).next_wake
+        controller.enqueue(0, 5, core_id=0)
+        wake, _done, _core = controller.service(0, 0)
         # With nothing queued, the demand service reports the idle-close
         # deadline directly as its next wake.
         assert wake == controller.state[0].last_use + 100
         assert controller.banks[0].is_open
-        late = controller.service(0, wake + 200)
-        assert late.worked
+        late_wake, late_done, _core = controller.service(0, wake + 200)
+        assert late_done == -1
+        assert late_wake == wake + 200 + timings.tPRE  # the PRE's busy time
         assert not controller.banks[0].is_open
+        assert controller.counts.precharges == 1
 
 
 class TestTmro:
@@ -136,10 +148,11 @@ class TestTmro:
             timings, tmro_cycles=tmro, mop_burst_lines=None,
             idle_close_cycles=None,
         )
-        controller.enqueue(demand(0, 0, 5))
-        wake = controller.service(0, 0).next_wake
-        result = controller.service(0, tmro + 10)
-        assert result.worked
+        controller.enqueue(0, 5, core_id=0)
+        controller.service(0, 0)
+        wake, done_cycle, _core = controller.service(0, tmro + 10)
+        assert done_cycle == -1
+        assert wake == tmro + 10 + timings.tPRE  # the PRE's busy time
         assert controller.tmro_closures == 1
         assert not controller.banks[0].is_open
 
@@ -149,28 +162,31 @@ class TestTmro:
             timings, tmro_cycles=tmro, mop_burst_lines=None,
             idle_close_cycles=None,
         )
-        controller.enqueue(demand(0, 0, 5))
-        wake = controller.service(0, 0).next_wake
-        idle = controller.service(0, wake)
-        assert idle.next_wake <= tmro + timings.tRC
+        controller.enqueue(0, 5, core_id=0)
+        wake, _done, _core = controller.service(0, 0)
+        idle_wake, idle_done, _core = controller.service(0, wake)
+        assert idle_done == -1
+        assert idle_wake <= tmro + timings.tRC
 
 
 class TestRefresh:
     def test_refresh_issues_when_due(self, timings):
         controller = make_controller(timings)
         due = controller.refresh[0].next_due
-        result = controller.service(0, due)
-        assert result.worked
+        wake, done_cycle, _core = controller.service(0, due)
+        assert done_cycle == -1
+        assert wake == controller.state[0].busy_until > due
         assert controller.counts.refreshes == 1
 
     def test_refresh_closes_open_row_first(self, timings):
         controller = make_controller(timings, mop_burst_lines=None,
                                      idle_close_cycles=None)
         due = controller.refresh[0].next_due
-        controller.enqueue(demand(0, 0, 5))
+        controller.enqueue(0, 5, core_id=0)
         controller.service(0, due - timings.tRC)
-        result = controller.service(0, due)
-        assert result.worked
+        wake, done_cycle, _core = controller.service(0, due)
+        assert done_cycle == -1
+        assert wake == controller.state[0].busy_until > due
         assert controller.counts.refreshes == 1
         assert controller.counts.precharges == 1
 
@@ -183,10 +199,12 @@ class TestRfm:
         )
         cycle = 0
         for row in (1, 2):
-            controller.enqueue(demand(0, 0, row))
+            controller.enqueue(0, row, core_id=0)
             controller.service(0, cycle)
             cycle = controller.state[0].busy_until + timings.tRC
-        result = controller.service(0, cycle)
+        wake, done_cycle, _core = controller.service(0, cycle)
+        assert done_cycle == -1
+        assert wake >= cycle + timings.tRFM
         assert controller.counts.rfms == 1
 
 
@@ -196,10 +214,14 @@ class TestMitigations:
         controller = ChannelController(
             timings=timings, num_banks=1, scheme=scheme,
         )
-        controller.enqueue(demand(0, 0, 5))
-        first = controller.service(0, 0)
-        result = controller.service(0, first.next_wake)
-        assert result.worked  # the mitigation block
+        controller.enqueue(0, 5, core_id=0)
+        first_wake, first_done, _core = controller.service(0, 0)
+        assert first_done >= 0
+        # The mitigation block: four victim ACT+PRE pairs, one tRC each.
+        wake, done_cycle, _core = controller.service(0, first_wake)
+        assert done_cycle == -1
+        assert wake == controller.state[0].busy_until
+        assert wake >= first_wake + VICTIMS_PER_MITIGATION * timings.tRC
         assert controller.counts.mitigative_acts == VICTIMS_PER_MITIGATION
 
     def test_impress_p_records_eact_on_close(self, timings):
@@ -209,7 +231,7 @@ class TestMitigations:
             timings=timings, num_banks=1, scheme=scheme,
             mop_burst_lines=None, idle_close_cycles=None,
         )
-        controller.enqueue(demand(0, 0, 5))
+        controller.enqueue(0, 5, core_id=0)
         controller.service(0, 0)
         controller.flush_open_rows(timings.tRAS + timings.tRC)
         assert tracker.recorded_for(5) > 1.0

@@ -9,14 +9,17 @@ take pytest down with them); this file owns the deterministic claims:
 * serial, degraded, and worker-executed runs produce *byte-identical*
   result blobs (the exactly-once/dedup foundation);
 * a reclaimed task resumes from its checkpoint and simulates fewer
-  cycles than a from-scratch run, with an identical result;
+  cycles than a from-scratch run, with an identical result; a corrupt
+  or stale-format checkpoint falls back to a from-scratch run;
 * poisoned tasks surface as :class:`DistributedSweepError` carrying
   the worker traceback;
 * a completed task's checkpoint blob becomes garbage ``gc`` collects
   while the result stays fetchable.
 """
 
+import dataclasses
 import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -41,6 +44,7 @@ from repro.distrib.worker import (
 from repro.results.store import content_key, store_for
 from repro.scenarios.spec import ScenarioSpec
 from repro.sim.config import SystemConfig
+from repro.sim.snapshot import SNAPSHOT_FORMAT
 
 
 def small_specs():
@@ -343,6 +347,63 @@ class TestCheckpointResume:
         )
         assert execution.resumed_from_cycle is None  # scratch, not crash
         assert queue.done_record(task_id) is not None
+
+    def test_stale_format_checkpoint_falls_back_to_scratch(self, tmp_path):
+        # A checkpoint from code with another queue-entry layout: its
+        # queues hold request objects, not (row, core_id, is_write)
+        # tuples.  Restoring it would only fail cycles later, inside the
+        # controller; the format tag must reject it at restore instead.
+        recipe = checkpointable_recipe()
+        task_id = content_key(recipe)
+        serial_store = store_for(tmp_path / "serial")
+        run_serial_sweep([recipe], serial_store)
+
+        sim = build_simulator(recipe)
+        assert not sim.run_until(50_000)
+        snap = sim.snapshot()
+        legacy_queues = [
+            tuple(
+                tuple(
+                    SimpleNamespace(row=row, core_id=core, is_write=write)
+                    for row, core, write in queue
+                )
+                for queue in controller.queues
+            )
+            for controller in snap.controllers
+        ]
+        assert any(any(queues) for queues in legacy_queues)
+        stale = dataclasses.replace(
+            snap,
+            format=SNAPSHOT_FORMAT - 1,
+            controllers=tuple(
+                dataclasses.replace(controller, queues=queues)
+                for controller, queues in zip(
+                    snap.controllers, legacy_queues
+                )
+            ),
+        )
+        with pytest.raises(ValueError, match="format"):
+            build_simulator(recipe).restore(stale)
+
+        queue = FileWorkQueue(tmp_path / "queue")
+        store = store_for(tmp_path)
+        store.put(
+            checkpoint_recipe(task_id),
+            {"task_id": task_id, "cycle": sim.now, "engine": snap.engine,
+             "snapshot_b64": _encode_snapshot(stale)},
+            name=checkpoint_alias(task_id),
+            kind=CHECKPOINT_KIND,
+            overwrite=True,
+        )
+        queue.submit(recipe)
+        claimed = queue.claim("w1")
+        execution = execute_claimed_task(
+            queue, store, claimed, checkpoint_stride=50_000,
+        )
+        assert execution.resumed_from_cycle is None  # scratch, not crash
+        assert blob_bytes(store, task_id) == \
+            blob_bytes(serial_store, task_id)
+        assert queue.done_record(task_id)["result_key"] == task_id
 
     def test_completed_task_checkpoint_becomes_garbage(self, tmp_path):
         recipe = checkpointable_recipe()
